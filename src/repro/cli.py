@@ -28,7 +28,7 @@ Subcommands
 ``rat platforms [--format json]``
     List catalogued platforms/devices/interconnects (``--format json``
     for a machine-readable catalog).
-``rat serve [--host H] [--port P] [--max-batch N] [--max-wait-us U]``
+``rat serve [--host H] [--port P] [--max-batch N]``
     Run the micro-batching HTTP prediction service (``POST /v1/predict``,
     ``/v1/batch``, ``/v1/explore``; ``GET /healthz``, ``/healthz/live``,
     ``/healthz/ready``, ``/metrics`` in Prometheus exposition format).
@@ -334,20 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="max single predictions coalesced per batch (default 64)",
-    )
-    srv.add_argument(
-        "--max-wait-us",
-        type=float,
-        default=200.0,
-        metavar="US",
-        help="coalescing window in microseconds (default 200; 0 disables)",
-    )
-    srv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="micro-batcher consumer tasks (default 1)",
     )
     srv.add_argument(
         "--max-pending",
@@ -913,8 +899,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scale_down_depth=args.scale_down_depth,
             scale_cooldown_s=args.scale_cooldown,
             max_batch_size=args.max_batch,
-            max_wait_us=args.max_wait_us,
-            workers=args.workers,
             max_pending=args.max_pending,
             default_deadline_s=(
                 args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None
@@ -927,8 +911,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch,
-        max_wait_us=args.max_wait_us,
-        workers=args.workers,
         max_pending=args.max_pending,
         default_deadline_s=(
             args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None

@@ -104,46 +104,47 @@ def _first_bad(mask: np.ndarray) -> int:
     return int(np.argmax(mask))
 
 
-def _bad_positive(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column > 0))
-
-
-def _bad_nonnegative(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column >= 0))
-
-
-def _bad_fraction(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column > 0) & (column <= 1))
-
-
-def _bad_at_least_one(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column >= 1))
-
+#: Inclusive ``(low, high)`` bounds per rule kind.  ``low <= x <= high``
+#: is the whole check: NaN fails both comparisons, +/-inf fall outside
+#: the finite extremes, and the smallest positive float64 as ``low``
+#: makes ``x >= low`` mean exactly ``x > 0``.
+_TINY = float(np.nextafter(0.0, 1.0))
+_HUGE = float(np.finfo(np.float64).max)
+_POSITIVE = (_TINY, _HUGE)
+_NONNEGATIVE = (0.0, _HUGE)
+_FRACTION = (_TINY, 1.0)
+_AT_LEAST_ONE = (1.0, _HUGE)
 
 #: One entry per validated column, in the order violations are reported:
-#: (column name, vectorized bad-row mask, scalar message formatter).  The
+#: (column name, inclusive bounds, scalar message formatter).  The
 #: formatters are the exact ones the scalar parameter dataclasses raise
 #: with, so batch diagnostics match scalar ``ParameterError`` text.
 _ROW_RULES: tuple[
-    tuple[
-        str,
-        Callable[[np.ndarray], np.ndarray],
-        Callable[[str, float], str | None],
-    ],
+    tuple[str, tuple[float, float], Callable[[str, float], str | None]],
     ...,
 ] = (
-    ("elements_in", _bad_positive, positive_violation),
-    ("bytes_per_element", _bad_positive, positive_violation),
-    ("ideal_bandwidth", _bad_positive, positive_violation),
-    ("ops_per_element", _bad_positive, positive_violation),
-    ("throughput_proc", _bad_positive, positive_violation),
-    ("clock_hz", _bad_positive, positive_violation),
-    ("t_soft", _bad_positive, positive_violation),
-    ("elements_out", _bad_nonnegative, nonnegative_violation),
-    ("alpha_write", _bad_fraction, fraction_violation),
-    ("alpha_read", _bad_fraction, fraction_violation),
-    ("n_iterations", _bad_at_least_one, at_least_one_violation),
+    ("elements_in", _POSITIVE, positive_violation),
+    ("bytes_per_element", _POSITIVE, positive_violation),
+    ("ideal_bandwidth", _POSITIVE, positive_violation),
+    ("ops_per_element", _POSITIVE, positive_violation),
+    ("throughput_proc", _POSITIVE, positive_violation),
+    ("clock_hz", _POSITIVE, positive_violation),
+    ("t_soft", _POSITIVE, positive_violation),
+    ("elements_out", _NONNEGATIVE, nonnegative_violation),
+    ("alpha_write", _FRACTION, fraction_violation),
+    ("alpha_read", _FRACTION, fraction_violation),
+    ("n_iterations", _AT_LEAST_ONE, at_least_one_violation),
 )
+
+#: The rule bounds as ``(rules, 1)`` columns, so one comparison pair
+#: checks a ``(rules, rows)`` stack of every validated column at once.
+_LOW = np.array([[low] for _, (low, _high), _ in _ROW_RULES])
+_HIGH = np.array([[high] for _, (_low, high), _ in _ROW_RULES])
+
+
+def _bad(column: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """Bad-row mask of one column against one rule's bounds."""
+    return ~((column >= bounds[0]) & (column <= bounds[1]))
 
 
 @dataclass(frozen=True)
@@ -168,28 +169,32 @@ def row_violations(batch: "BatchInput") -> list[RowViolation]:
     worksheet column order, that the row breaks — matching which error
     the raising validator would have picked).  An empty list means every
     row would pass scalar validation.
+
+    Every rule is checked in one stacked pass; only rows that fail it
+    are diagnosed rule by rule.
     """
-    claimed = np.zeros(len(batch), dtype=bool)
+    stacked = np.array([getattr(batch, name) for name, _, _ in _ROW_RULES])
+    ok = (stacked >= _LOW) & (stacked <= _HIGH)
+    if ok.all():
+        return []
+    failing = np.flatnonzero(~ok.all(axis=0))
+    # argmin finds each failing row's first broken rule in table order.
+    first_rule = ok[:, failing].argmin(axis=0)
     found: list[RowViolation] = []
-    for name, bad_fn, describe in _ROW_RULES:
-        column = getattr(batch, name)
-        bad = bad_fn(column) & ~claimed
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                value = float(column[i])
-                message = describe(name, value)
-                assert message is not None
-                found.append(RowViolation(int(i), name, value, message))
-            claimed |= bad
-    found.sort(key=lambda violation: violation.row)
+    for i, rule in zip(failing.tolist(), first_rule.tolist()):
+        name, _, describe = _ROW_RULES[rule]
+        value = float(stacked[rule, i])
+        message = describe(name, value)
+        assert message is not None
+        found.append(RowViolation(i, name, value, message))
     return found
 
 
 def valid_row_mask(batch: "BatchInput") -> np.ndarray:
     """Boolean column: True where the row passes every validation rule."""
     ok = np.ones(len(batch), dtype=bool)
-    for name, bad_fn, _ in _ROW_RULES:
-        ok &= ~bad_fn(getattr(batch, name))
+    for name, bounds, _ in _ROW_RULES:
+        ok &= ~_bad(getattr(batch, name), bounds)
     return ok
 
 
@@ -261,9 +266,9 @@ class BatchInput:
 
     def _validate(self) -> None:
         """Vectorized mirror of the scalar dataclasses' validation."""
-        for name, bad_fn, describe in _ROW_RULES:
+        for name, bounds, describe in _ROW_RULES:
             column = getattr(self, name)
-            bad = bad_fn(column)
+            bad = _bad(column, bounds)
             if bad.any():
                 i = _first_bad(bad)
                 raise ParameterError(

@@ -25,15 +25,11 @@ fault-tolerant:
     :class:`ChunkJournal`: JSONL chunk journal keyed by a content hash
     of the run, so an interrupted exploration resumes from completed
     chunks with bitwise-identical results.
-``cache``
-    :class:`PredictionCache`: LRU memoization of scalar predictions
-    keyed on the frozen worksheet.
 
 The ``rat explore`` CLI subcommand is a thin wrapper over
 :meth:`DesignSpace.grid` + :func:`explore`.
 """
 
-from .cache import PredictionCache
 from .checkpoint import ChunkJournal, run_key
 from .executor import (
     DEFAULT_CHUNK_SIZE,
@@ -64,7 +60,6 @@ __all__ = [
     "MapResult",
     "ON_ERROR_POLICIES",
     "PointFailure",
-    "PredictionCache",
     "RetryPolicy",
     "axis_names",
     "explore",

@@ -5,9 +5,7 @@
 splits it into fixed-size chunks, and runs each chunk through
 :func:`~repro.core.batch.batch_predict` — serially by default, or across
 a ``ProcessPoolExecutor`` when ``workers > 1`` (``workers=0`` means "one
-per CPU core").  Passing a
-:class:`~repro.explore.cache.PredictionCache` switches to a memoized
-path that only batch-evaluates cache misses.
+per CPU core").
 
 :func:`map_designs` is the escape hatch for evaluators the batch engine
 cannot vectorize — event-driven hardware simulation, goal-seek solvers,
@@ -65,7 +63,6 @@ from ..core.throughput import ThroughputPrediction
 from ..errors import ExplorationError, ParameterError
 from ..obs import get_metrics, get_tracer
 from ..obs.propagation import TraceContext, activate, current_context, deactivate
-from .cache import PredictionCache
 from .checkpoint import ChunkJournal, run_key
 from .runtime import (
     ChunkFailure,
@@ -123,8 +120,6 @@ class ExplorationResult:
     mode: BufferingMode
     prediction: BatchPrediction
     elapsed_s: float
-    cache_hits: int = 0
-    cache_misses: int = 0
     failures: tuple[PointFailure, ...] = ()
     chunk_failures: tuple[ChunkFailure, ...] = ()
     indices: np.ndarray | None = None
@@ -424,35 +419,6 @@ def _decode_columns(payload: dict) -> tuple[np.ndarray, ...]:
     )
 
 
-def _explore_cached(
-    space: DesignSpace, mode: BufferingMode, cache: PredictionCache
-) -> tuple[BatchPrediction, int, int]:
-    """Memoized path: batch-evaluate only the cache misses."""
-    hits_before, misses_before = cache.hits, cache.misses
-    designs = [space.design(i) for i in range(len(space))]
-    found: list[ThroughputPrediction | None] = [
-        cache.get(rat, mode) for rat in designs
-    ]
-    missing = [i for i, p in enumerate(found) if p is None]
-    if missing:
-        sub = BatchInput.from_inputs([designs[i] for i in missing])
-        sub_prediction = batch_predict(sub, mode)
-        for k, i in enumerate(missing):
-            row = sub_prediction.row(k, designs[i])
-            cache.put(designs[i], mode, row)
-            found[i] = row
-    columns = {
-        name: np.array([getattr(p, name) for p in found], dtype=np.float64)
-        for name in _RESULT_FIELDS
-    }
-    prediction = BatchPrediction(batch=space.to_batch(), mode=mode, **columns)
-    return (
-        prediction,
-        cache.hits - hits_before,
-        cache.misses - misses_before,
-    )
-
-
 def _scatter(
     n: int,
     valid_indices: np.ndarray,
@@ -473,7 +439,6 @@ def explore(
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
-    cache: PredictionCache | None = None,
     on_error: str = "fail",
     retry: RetryPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
@@ -485,10 +450,7 @@ def explore(
     ``chunk_size`` bounds the rows evaluated per batch call (and the
     granularity of pool tasks, checkpoint records, and ``explore.chunk``
     spans); ``workers`` selects serial (``1``), process-pool (``> 1``),
-    or one-per-CPU-core (``0``) execution.  ``cache`` switches to the
-    memoized scalar-keyed path — designs already cached are not
-    re-evaluated, at the cost of materialising per-row worksheets, so
-    reserve it for spaces that are revisited.
+    or one-per-CPU-core (``0``) execution.
 
     Fault tolerance: ``on_error`` picks the failure policy
     (``"fail"``/``"skip"``/``"quarantine"``, see the module docstring),
@@ -503,14 +465,6 @@ def explore(
     check_on_error(on_error)
     policy = retry or RetryPolicy()
     pool_workers = _effective_workers(workers)
-    if cache is not None and (
-        on_error != "fail" or checkpoint or resume or chunk_fn
-    ):
-        raise ParameterError(
-            "the cached explore path supports neither on_error policies, "
-            "checkpointing, nor chunk_fn injection; drop cache= or the "
-            "fault-tolerance options"
-        )
     n = len(space)
     tracer = get_tracer()
     metrics = get_metrics()
@@ -523,77 +477,71 @@ def explore(
              "mode": mode.value, "on_error": on_error},
             "explore",
         ):
-            cache_hits = cache_misses = 0
             point_failures: tuple[PointFailure, ...] = ()
             chunk_failures: tuple[ChunkFailure, ...] = ()
             indices: np.ndarray | None = None
             resumed = retries = 0
             degraded = False
-            if cache is not None:
-                prediction, cache_hits, cache_misses = _explore_cached(
-                    space, mode, cache
+            batch = space.to_batch(check=(on_error == "fail"))
+            valid_indices = np.arange(n)
+            eval_batch = batch
+            if on_error != "fail":
+                valid_indices, point_failures = quarantine_rows(
+                    batch, space.point
                 )
-            else:
-                batch = space.to_batch(check=(on_error == "fail"))
-                valid_indices = np.arange(n)
-                eval_batch = batch
-                if on_error != "fail":
-                    valid_indices, point_failures = quarantine_rows(
-                        batch, space.point
+                if point_failures:
+                    # quarantine_rows just vetted every kept row;
+                    # mark them valid rather than re-running the
+                    # rules a second time inside take().
+                    eval_batch = mark_rows_valid(
+                        batch.take(valid_indices, check=False)
                     )
-                    if point_failures:
-                        # quarantine_rows just vetted every kept row;
-                        # mark them valid rather than re-running the
-                        # rules a second time inside take().
-                        eval_batch = mark_rows_valid(
-                            batch.take(valid_indices, check=False)
-                        )
-                    else:
-                        eval_batch = mark_rows_valid(batch)
-                m = len(eval_batch)
-                bounds = _chunk_bounds(m, chunk_size)
-                journal, completed = _open_journal(
-                    checkpoint, resume,
-                    lambda: run_key(space, mode, chunk_size, on_error),
+                else:
+                    eval_batch = mark_rows_valid(batch)
+            m = len(eval_batch)
+            bounds = _chunk_bounds(m, chunk_size)
+            journal, completed = _open_journal(
+                checkpoint, resume,
+                lambda: run_key(space, mode, chunk_size, on_error),
+            )
+            runner = _ChunkedRun(
+                bounds, journal, _decode_columns, _encode_columns
+            )
+            runner.replay(completed)
+            fn = partial(chunk_fn or _predict_chunk, mode=mode)
+            ctx = current_context()
+            if chunk_fn is None:
+                # Ship the base worksheet through the chunk envelope
+                # so each worker process compiles one plan for this
+                # space and reuses it across its chunks; the trace
+                # context rides along the same way (read inside the
+                # explore.run span, so the shipped context is
+                # narrowed to that span's identity and worker-side
+                # chunks parent under it).
+                envelope: dict[str, object] = {"plan_key": space.base}
+                if ctx is not None:
+                    envelope["trace"] = ctx.to_dict()
+                fn = partial(_predict_chunk, mode=mode, **envelope)
+            tasks = [eval_batch[lo:hi] for lo, hi in
+                     (bounds[i] for i in runner.todo)]
+            try:
+                chunk_failures, retries, degraded = runner.run(
+                    tasks, fn,
+                    workers=pool_workers, policy=policy, on_error=on_error,
                 )
-                runner = _ChunkedRun(
-                    bounds, journal, _decode_columns, _encode_columns
-                )
-                runner.replay(completed)
-                fn = partial(chunk_fn or _predict_chunk, mode=mode)
-                ctx = current_context()
-                if chunk_fn is None:
-                    # Ship the base worksheet through the chunk envelope
-                    # so each worker process compiles one plan for this
-                    # space and reuses it across its chunks; the trace
-                    # context rides along the same way (read inside the
-                    # explore.run span, so the shipped context is
-                    # narrowed to that span's identity and worker-side
-                    # chunks parent under it).
-                    envelope: dict[str, object] = {"plan_key": space.base}
-                    if ctx is not None:
-                        envelope["trace"] = ctx.to_dict()
-                    fn = partial(_predict_chunk, mode=mode, **envelope)
-                tasks = [eval_batch[lo:hi] for lo, hi in
-                         (bounds[i] for i in runner.todo)]
-                try:
-                    chunk_failures, retries, degraded = runner.run(
-                        tasks, fn,
-                        workers=pool_workers, policy=policy, on_error=on_error,
-                    )
-                except ExplorationError as exc:
-                    exc.failures = point_failures
-                    raise
-                resumed = runner.resumed
-                prediction, indices = _assemble_exploration(
-                    batch, mode, n, valid_indices, runner.slots,
-                    bounds, chunk_failures, on_error,
-                )
-                failed_rows = len(point_failures) + sum(
-                    failure.hi - failure.lo for failure in chunk_failures
-                )
-                if failed_rows:
-                    metrics.counter("explore.failed_points").inc(failed_rows)
+            except ExplorationError as exc:
+                exc.failures = point_failures
+                raise
+            resumed = runner.resumed
+            prediction, indices = _assemble_exploration(
+                batch, mode, n, valid_indices, runner.slots,
+                bounds, chunk_failures, on_error,
+            )
+            failed_rows = len(point_failures) + sum(
+                failure.hi - failure.lo for failure in chunk_failures
+            )
+            if failed_rows:
+                metrics.counter("explore.failed_points").inc(failed_rows)
     finally:
         if journal is not None:
             journal.close()
@@ -607,8 +555,6 @@ def explore(
         mode=mode,
         prediction=prediction,
         elapsed_s=elapsed,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
         failures=point_failures,
         chunk_failures=chunk_failures,
         indices=indices,

@@ -33,7 +33,9 @@ Failure semantics are controlled by ``on_error``:
     :class:`ChunkRunReport` and the caller decides whether to drop the
     rows (skip) or NaN-fill them (quarantine).
 
-Observability: every retry increments ``explore.retries``, every
+Observability: every re-execution of a chunk increments
+``explore.retries`` — budget-charged retries and the uncharged re-runs
+of chunks caught in a pool break or a hung-pool termination alike — every
 exhausted chunk increments ``explore.failed_chunks``, and pool
 degradation sets the ``explore.degraded_to_serial`` gauge.  Each of
 these also emits a structured log event (``explore.retry`` /
@@ -455,6 +457,22 @@ def run_chunks(
         record_failure(index, exc, reason)
         return False
 
+    def count_reruns(indices: Sequence[int], reason: str) -> None:
+        """Re-runs that charge no retry budget still count as retries.
+
+        Chunks caught in a pool break or terminated beside a hung chunk
+        run again; counting them keeps ``retries`` equal to the number
+        of re-executions however the pool's work happened to interleave.
+        """
+        report.retries += len(indices)
+        metrics.counter("explore.retries").inc(len(indices))
+        for index in indices:
+            event(
+                _log, "explore.retry",
+                chunk=index, attempt=attempts[index], error=reason,
+                level=logging.WARNING,
+            )
+
     def submit(index: int) -> bool:
         try:
             future = pool.submit(fn, tasks[index])
@@ -502,6 +520,7 @@ def run_chunks(
         else:
             # Unknown culprit: probe each involved chunk in isolation
             # without charging anyone's retry budget yet.
+            count_reruns(involved, "worker pool broke; probing")
             suspects.extend(involved)
         if consecutive_breaks >= _MAX_CONSECUTIVE_POOL_BREAKS:
             drain_to_serial()
@@ -564,11 +583,11 @@ def run_chunks(
                     "worker pool terminated"
                 )
                 for index in involved:
-                    if index in hung:
-                        if charge(index, None, timeout_reason):
-                            suspects.append(index)
-                    else:
-                        pending.appendleft(index)
+                    if index in hung and charge(index, None, timeout_reason):
+                        suspects.append(index)
+                innocent = [i for i in involved if i not in hung]
+                count_reruns(innocent, timeout_reason)
+                pending.extendleft(innocent)
                 if (
                     consecutive_breaks >= _MAX_CONSECUTIVE_POOL_BREAKS
                     or not pool.respawn()

@@ -11,8 +11,7 @@ Every axis is defined twice, consistently:
 
 * a **scalar edit** reusing the worksheet's ``with_*`` methods, so
   :meth:`DesignSpace.design` yields exactly the ``RATInput`` a hand
-  written what-if loop would construct (this is also what the LRU
-  prediction cache keys on); and
+  written what-if loop would construct; and
 * a **column expansion** mapping the axis values to SI-unit
   :class:`~repro.core.batch.BatchInput` columns, so
   :meth:`DesignSpace.to_batch` can feed the vectorized engine without

@@ -9,11 +9,11 @@ This subsystem serves that traffic shape on the stdlib only:
     Socket-free HTTP/1.1 parsing/formatting over ``bytes``.
 ``batcher``
     :class:`MicroBatcher` — coalesces concurrent single predictions
-    into struct-of-arrays batches (``max_batch_size``/``max_wait_us``
-    window) so callers ride PR 2's vectorized kernels bitwise-equal to
-    scalar ``predict()``, with PR 3's row-level quarantine isolating
-    invalid worksheets and bounded-queue admission control (429 +
-    ``Retry-After``, per-request deadlines).
+    into struct-of-arrays batches (whatever is queued when the consumer
+    wakes, up to ``max_batch_size``; no timer) evaluated by
+    ``batch_predict`` bitwise-equal to scalar ``predict()``, with
+    row-level quarantine isolating invalid worksheets and bounded-queue
+    admission control (429 + ``Retry-After``, per-request deadlines).
 ``app``
     :class:`RATApp` — the transport-independent route table
     (``/v1/predict``, ``/v1/batch``, ``/v1/explore``, ``/healthz``,

@@ -144,9 +144,7 @@ class RATApp:
         self,
         *,
         max_batch_size: int = 64,
-        max_wait_us: float = 200.0,
         max_pending: int = 1024,
-        workers: int = 1,
         max_body_bytes: int = 1 << 20,
         max_batch_rows: int = 4096,
         max_explore_points: int = 200_000,
@@ -154,10 +152,7 @@ class RATApp:
         shard_id: int | None = None,
     ) -> None:
         self.batcher = MicroBatcher(
-            max_batch_size=max_batch_size,
-            max_wait_us=max_wait_us,
-            max_pending=max_pending,
-            workers=workers,
+            max_batch_size=max_batch_size, max_pending=max_pending
         )
         self.max_body_bytes = int(max_body_bytes)
         self.max_batch_rows = int(max_batch_rows)

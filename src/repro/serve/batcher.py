@@ -2,34 +2,33 @@
 
 A prediction service built naively on :func:`repro.core.throughput
 .predict` pays the scalar path's per-worksheet overhead on every
-request.  PR 2's batch engine evaluates a million rows per call — but
-only helps if concurrent requests actually share a call.  The
+request.  The vectorized :func:`repro.core.batch.batch_predict` only
+helps if concurrent requests actually share a call.  The
 :class:`MicroBatcher` is that bridge: single-prediction requests are
-appended to a pending queue, and a consumer task drains them in
-struct-of-arrays batches bounded by a ``max_batch_size`` /
-``max_wait_us`` window, so N concurrent callers pay ~one batch's worth
-of numpy dispatch and validation instead of N.
+appended to a pending queue, and one consumer task drains them in
+struct-of-arrays batches of up to ``max_batch_size`` rows, so N
+concurrent callers pay ~one batch's worth of numpy dispatch and
+validation instead of N.
 
-Each batcher compiles one :class:`~repro.core.plan.PredictionPlan` at
-construction, pre-sized to ``max_batch_size``, and evaluates every
-coalesced batch through it: the steady-state request path performs no
-result-buffer allocation and no duplicate row validation (rows are
-triaged once by ``row_violations`` and the surviving batch is marked
-valid), and the ``plan.compiles`` counter stays flat under load.
+How batches form: there is no coalescing timer.  When the consumer
+wakes it takes whatever is queued (up to ``max_batch_size``) and
+evaluates it at once; a lone request is dispatched immediately.
+Requests that arrive while a batch executes queue up and form the
+next batch, so batch size tracks concurrency on its own.
 
 Correctness contracts:
 
 * **Bitwise parity.**  A prediction served through a coalesced batch is
   IEEE-754-identical to what scalar ``predict()`` returns for the same
-  worksheet — inherited from the plan kernel's operation-order guarantee
-  (itself bitwise-equal to :func:`repro.core.batch.batch_predict`),
-  preserved here by staging worksheet fields with exactly the
-  conversions :meth:`RATInput.from_dict` applies.
+  worksheet — inherited from ``batch_predict``'s operation-order
+  guarantee, preserved here by staging worksheet fields with exactly
+  the conversions :meth:`RATInput.from_dict` applies.
 * **Row-level quarantine.**  One invalid worksheet in a coalesced batch
-  fails only that request: rows are staged unvalidated, triaged with
-  :func:`repro.core.batch.valid_row_mask` (PR 3's quarantine machinery),
-  and each rejected request receives the *byte-identical* diagnostic the
-  scalar ``RATInput.from_dict`` path raises for its worksheet.
+  fails only that request: rows are staged unvalidated, triaged once
+  with :func:`repro.core.batch.row_violations` (the surviving rows are
+  then marked valid rather than re-checked), and each rejected request
+  receives the *byte-identical* diagnostic the scalar
+  ``RATInput.from_dict`` path raises for its worksheet.
 
 Admission control: the pending queue is bounded (``max_pending``);
 over-capacity submissions raise :class:`~repro.errors.AdmissionError`
@@ -38,11 +37,13 @@ EWMA of recent batch latency.  Requests may carry a deadline; ones that
 expire while queued are failed with
 :class:`~repro.errors.DeadlineError` instead of being evaluated.
 
-Observability: ``serve.queue_depth`` (gauge) tracks the pending queue,
-``serve.batch_size`` / ``serve.batch_seconds`` / ``serve.batch_wait_seconds``
-(histograms) the coalescing behaviour, ``serve.predictions`` /
-``serve.quarantined`` / ``serve.deadline_expired`` (counters) the row
-outcomes, and each executed batch records a ``serve.batch`` span.
+Observability: ``serve.queue_depth`` (gauge) tracks the pending queue;
+``serve.batch_size`` / ``serve.batch_seconds`` (histograms, one sample
+per batch) the coalescing behaviour; ``serve.batch_wait_seconds``
+(histogram, one sample per request) each request's time in the queue;
+``serve.predictions`` / ``serve.quarantined`` /
+``serve.deadline_expired`` (counters) the row outcomes; and each
+executed batch records a ``serve.batch`` span.
 """
 
 from __future__ import annotations
@@ -56,9 +57,13 @@ from typing import Mapping
 
 import numpy as np
 
-from ..core.batch import BatchInput, mark_rows_valid, row_violations
+from ..core.batch import (
+    BatchInput,
+    batch_predict,
+    mark_rows_valid,
+    row_violations,
+)
 from ..core.buffering import BufferingMode
-from ..core.plan import compile_plan
 from ..core.params import RATInput
 from ..errors import AdmissionError, DeadlineError, ParameterError, ServeError
 from ..obs import get_metrics, get_tracer
@@ -222,53 +227,32 @@ class _Pending:
 class MicroBatcher:
     """Coalesce concurrent single predictions into batch-engine calls.
 
-    ``max_batch_size`` bounds rows per batch; ``max_wait_us`` bounds how
-    long the first queued request waits for company (0 disables
-    coalescing delay — batches still form from whatever is queued when
-    the consumer wakes).  ``max_pending`` is the admission bound; beyond
-    it, :meth:`submit` raises :class:`AdmissionError` (HTTP 429).
-    ``workers`` is the number of consumer tasks; one is optimal for the
-    pure-numpy prediction path, more only help when a custom evaluator
-    awaits.
+    ``max_batch_size`` bounds rows per batch; a batch is whatever is
+    queued when the consumer wakes, so nothing waits for company.
+    ``max_pending`` is the admission bound; beyond it, :meth:`submit`
+    raises :class:`AdmissionError` (HTTP 429).
     """
 
     def __init__(
-        self,
-        *,
-        max_batch_size: int = 64,
-        max_wait_us: float = 200.0,
-        max_pending: int = 1024,
-        workers: int = 1,
+        self, *, max_batch_size: int = 64, max_pending: int = 1024
     ) -> None:
         if max_batch_size < 1:
             raise ParameterError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if max_wait_us < 0:
-            raise ParameterError(
-                f"max_wait_us must be >= 0, got {max_wait_us}"
-            )
         if max_pending < 1:
             raise ParameterError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
         self.max_batch_size = max_batch_size
-        self.max_wait_us = max_wait_us
         self.max_pending = max_pending
-        self.workers = workers
         self._pending: deque[_Pending] = deque()
         self._wakeup = asyncio.Event()
-        self._tasks: list[asyncio.Task] = []
+        self._task: asyncio.Task | None = None
         self._closed = False
         self._batch_seconds_ewma = 1e-3
         self.batches = 0
         self.served = 0
-        # One compiled plan per batcher, pre-sized to the batch window:
-        # every coalesced batch reuses its buffers, so the steady-state
-        # request path allocates nothing and plan.compiles stays flat.
-        self._plan = compile_plan(capacity=max_batch_size)
         # Hot-path instruments, resolved once: registry lookups are
         # cheap but run per request, and instruments are stable.
         metrics = get_metrics()
@@ -281,20 +265,17 @@ class MicroBatcher:
     # ---- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the consumer task(s); requires a running event loop."""
-        if self._tasks:
+        """Spawn the consumer task; requires a running event loop."""
+        if self._task is not None:
             return
         self._closed = False
-        self._tasks = [
-            asyncio.create_task(self._consume(), name=f"microbatch-{i}")
-            for i in range(self.workers)
-        ]
+        self._task = asyncio.create_task(self._consume(), name="microbatch")
 
     async def close(self, *, drain: bool = True) -> None:
-        """Stop the consumers; optionally serve what is already queued.
+        """Stop the consumer; optionally serve what is already queued.
 
-        With ``drain=True`` (graceful shutdown) consumers finish every
-        queued request before exiting; with ``drain=False`` queued
+        With ``drain=True`` (graceful shutdown) the consumer finishes
+        every queued request before exiting; with ``drain=False`` queued
         requests fail with a 503-mapped :class:`ServeError`.
         """
         self._closed = True
@@ -306,9 +287,9 @@ class MicroBatcher:
                         ServeError("service is shutting down")
                     )
         self._wakeup.set()
-        for task in self._tasks:
-            await task
-        self._tasks = []
+        if self._task is not None:
+            await self._task
+            self._task = None
         self._depth_gauge()
 
     @property
@@ -318,8 +299,8 @@ class MicroBatcher:
 
     @property
     def running(self) -> bool:
-        """Whether consumer tasks are active."""
-        return bool(self._tasks) and not self._closed
+        """Whether the consumer task is active."""
+        return self._task is not None and not self._closed
 
     @property
     def batch_seconds_ewma(self) -> float:
@@ -358,7 +339,7 @@ class MicroBatcher:
         :class:`AdmissionError` when the queue is full, and
         :class:`DeadlineError` when ``deadline_s`` expires first.
         """
-        if self._closed or not self._tasks:
+        if self._closed or self._task is None:
             raise ServeError("service is shutting down")
         if len(self._pending) >= self.max_pending:
             get_metrics().counter("serve.rejected").inc()
@@ -415,36 +396,19 @@ class MicroBatcher:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            first = self._pending[0]
-            if (
-                self.max_wait_us > 0
-                and self.max_batch_size > 1
-                and len(self._pending) < self.max_batch_size
-                and not self._closed
-            ):
-                # Give the head-of-line request up to its coalescing
-                # window to attract company: one timer per batch, so the
-                # hot path never allocates per-request timers.
-                remaining = (
-                    first.enqueued + self.max_wait_us * 1e-6
-                    - time.perf_counter()
-                )
-                if remaining > 0:
-                    await asyncio.sleep(remaining)
             batch = [
                 self._pending.popleft()
                 for _ in range(min(self.max_batch_size, len(self._pending)))
             ]
             self._depth_gauge()
-            if batch:
-                try:
-                    self._execute(batch)
-                except Exception as exc:  # defensive: never kill the loop
-                    for pending in batch:
-                        if not pending.future.done():
-                            pending.future.set_exception(
-                                ServeError(f"batch evaluation failed: {exc}")
-                            )
+            try:
+                self._execute(batch)
+            except Exception as exc:  # defensive: never kill the loop
+                for pending in batch:
+                    if not pending.future.done():
+                        pending.future.set_exception(
+                            ServeError(f"batch evaluation failed: {exc}")
+                        )
 
     def _execute(self, batch: list[_Pending]) -> None:
         """Evaluate one coalesced batch and distribute per-row results."""
@@ -467,6 +431,7 @@ class MicroBatcher:
                     )
                 )
                 continue
+            self._batch_wait_hist.observe(started - pending.enqueued)
             live.append(pending)
         if not live:
             return
@@ -484,7 +449,7 @@ class MicroBatcher:
                 batch_span_id = batch_span.span_id
             matrix = np.asarray([p.row for p in live], dtype=np.float64)
             staged = BatchInput(*matrix.T, check=False)
-            # PR 3's row-level quarantine: triage invalid rows instead of
+            # Row-level quarantine: triage invalid rows instead of
             # letting one bad worksheet fail the whole coalesced batch.
             violations = row_violations(staged)
             if violations:
@@ -523,9 +488,7 @@ class MicroBatcher:
             # cost here is what the micro-batching win is made of.
             mode_rows: dict[BufferingMode, list[dict[str, float]]] = {}
             for mode in sorted(needed, key=lambda m: m.value):
-                # Plan results are views into plan buffers; the .tolist()
-                # below materializes them before the next evaluate.
-                prediction = self._plan.evaluate(staged, mode)
+                prediction = batch_predict(staged, mode)
                 columns = [
                     getattr(prediction, name).tolist()
                     for name in _RESULT_FIELDS
@@ -548,5 +511,4 @@ class MicroBatcher:
         self._batch_seconds_ewma += 0.2 * (elapsed - self._batch_seconds_ewma)
         self._batch_size_hist.observe(n)
         self._batch_seconds_hist.observe(elapsed)
-        self._batch_wait_hist.observe(started - batch[0].enqueued)
         self._predictions_total.inc(n)

@@ -55,6 +55,9 @@ class TestPoolCrashRecovery:
         assert report.results == [2, -2, 4, 6]
         assert report.failures == []
         assert os.path.exists(token)
+        # The crashed chunk ran again, whether it was blamed alone or
+        # probed with every chunk the pool break took down.
+        assert report.retries >= 1
 
     def test_persistent_pool_death_degrades_to_serial(self):
         # exit_in_worker kills every pool worker but runs fine in the
@@ -137,7 +140,9 @@ class TestExploreUnderFaults:
         assert {f.index for f in result.failures} == set(range(0, n, 100))
         assert all(f.parameter == "clock_hz" for f in result.failures)
         assert result.chunk_failures == ()  # crash + hang both recovered
-        assert result.retries >= 1
+        # The crashing and the hanging chunk each run at least twice,
+        # whether they fail alone or are caught in one pool break.
+        assert result.retries >= 2
         assert not result.degraded
         assert np.isnan(result.prediction.speedup[::100]).all()
         # Surviving rows are bitwise identical to a clean serial run.

@@ -16,6 +16,12 @@ from repro.core.batch import (
     row_violations,
     valid_row_mask,
 )
+from repro.core.params import (
+    at_least_one_violation,
+    fraction_violation,
+    nonnegative_violation,
+    positive_violation,
+)
 from repro.errors import ParameterError
 from repro.explore import DesignSpace, explore
 
@@ -86,6 +92,49 @@ class TestScalarBatchParity:
         violations = row_violations(batch)
         assert len(violations) == 1
         assert violations[0].column == "elements_in"
+
+
+#: Values at and around every rule's edges, including the ones a bounds
+#: comparison could get wrong: signed zero, the smallest subnormal, the
+#: largest finite float and both infinities.
+EDGE_VALUES = [
+    float("nan"), float("-inf"), -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5,
+    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0,
+    np.finfo(np.float64).max, float("inf"),
+]
+
+_SCALAR_RULES = {
+    "elements_in": positive_violation,
+    "bytes_per_element": positive_violation,
+    "ideal_bandwidth": positive_violation,
+    "ops_per_element": positive_violation,
+    "throughput_proc": positive_violation,
+    "clock_hz": positive_violation,
+    "t_soft": positive_violation,
+    "elements_out": nonnegative_violation,
+    "alpha_write": fraction_violation,
+    "alpha_read": fraction_violation,
+    "n_iterations": at_least_one_violation,
+}
+
+
+class TestRuleBoundaries:
+    @pytest.mark.parametrize("column", sorted(_SCALAR_RULES))
+    def test_stacked_pass_agrees_with_scalar_rule(self, simple_rat, column):
+        describe = _SCALAR_RULES[column]
+        values = [float(v) for v in EDGE_VALUES]
+        batch = BatchInput.from_base(
+            simple_rat, len(values), {column: values}, check=False
+        )
+        expected = [
+            (i, describe(column, v)) for i, v in enumerate(values)
+            if describe(column, v) is not None
+        ]
+        assert [(v.row, v.message) for v in row_violations(batch)] == expected
+        bad_rows = {i for i, _ in expected}
+        assert valid_row_mask(batch).tolist() == [
+            i not in bad_rows for i in range(len(values))
+        ]
 
 
 class TestDeferredValidation:

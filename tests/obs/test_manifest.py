@@ -19,6 +19,9 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import MetricsRegistry
 
+#: A portable ratio in the default ratchet set, used as sample data.
+GUARDED_RATIO = "bench.batch_predict.10000.speedup_ratio"
+
 
 def make_manifest(metrics, label="m", fp=None):
     manifest = build_manifest(metrics, label=label)
@@ -66,14 +69,14 @@ class TestManifestIO:
             "schema": "rat-bench-record/v1",
             "python": "3.11.0",
             "platform": "Linux-x",
-            "metrics": {"serve.rps_ratio": {"type": "gauge", "value": 6.0}},
+            "metrics": {GUARDED_RATIO: {"type": "gauge", "value": 6.0}},
         }
         path = tmp_path / "BENCH_PR3.json"
         path.write_text(json.dumps(record))
         manifest = load_manifest(path)
         assert manifest["schema"] == SCHEMA
         assert manifest["label"] == "BENCH_PR3"
-        assert manifest["metrics"]["serve.rps_ratio"] == 6.0
+        assert manifest["metrics"][GUARDED_RATIO] == 6.0
         assert manifest["fingerprint"] == "Linux-x/python3.11.0"
 
     def test_trajectory_ordered_by_pr_number(self, tmp_path):
@@ -211,11 +214,11 @@ class TestRenderHistory:
         }))
 
     def test_renders_one_column_per_record(self, tmp_path):
-        self._record(tmp_path, 1, {"serve.rps_ratio": 4.0})
-        self._record(tmp_path, 2, {"serve.rps_ratio": 6.0})
+        self._record(tmp_path, 1, {GUARDED_RATIO: 4.0})
+        self._record(tmp_path, 2, {GUARDED_RATIO: 6.0})
         table = render_history(tmp_path)
         assert "PR1" in table and "PR2" in table
-        assert "serve.rps_ratio" in table
+        assert GUARDED_RATIO in table
         assert "+50.0%" in table  # 4.0 -> 6.0 in the good direction
 
     def test_missing_metric_shows_dash_and_new(self, tmp_path):
@@ -250,7 +253,7 @@ class TestRenderHistory:
             tmp_path, metrics=[RatchetMetric("custom.metric")]
         )
         assert "custom.metric" in table
-        assert "serve.rps_ratio" not in table
+        assert GUARDED_RATIO not in table
 
     def test_real_committed_trajectory_renders(self):
         table = render_history(".")

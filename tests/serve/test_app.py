@@ -311,12 +311,14 @@ class TestMetricsEndpoint:
 class TestErrorMapping:
     def test_429_carries_retry_after_header(self):
         async def body():
-            app = RATApp(max_pending=1, max_wait_us=50000.0)
+            app = RATApp(max_pending=1)
             await app.startup()
             try:
                 first = asyncio.ensure_future(
                     app.handle(post("/v1/predict", WORKSHEET))
                 )
+                # One yield queues the first request; the consumer it
+                # wakes runs after this coroutine, so the slot is taken.
                 await asyncio.sleep(0)
                 second = await app.handle(post("/v1/predict", WORKSHEET))
                 await first

@@ -1,6 +1,7 @@
-"""Micro-batcher tests: coalescing, parity, quarantine, admission."""
+"""Micro-batcher tests: batch formation, parity, quarantine, admission."""
 
 import asyncio
+import inspect
 import json
 
 import pytest
@@ -53,6 +54,33 @@ async def _with_batcher(body, **kwargs):
         return await body(batcher)
     finally:
         await batcher.close()
+
+
+def hold_consumer(batcher):
+    """Keep ``batcher``'s consumer from running until ``release()``.
+
+    Call before the batcher starts.  Submits queue up meanwhile, which
+    lets socket-level tests line up requests that arrive on different
+    loop iterations and then release them as one batch.
+    """
+    gate = asyncio.Event()
+    consume = batcher._consume
+
+    async def gated():
+        await gate.wait()
+        await consume()
+
+    batcher._consume = gated
+    return gate.set
+
+
+async def wait_for_depth(batcher, depth, timeout_s=10.0):
+    """Poll until ``depth`` requests are queued (the consumer is held)."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while batcher.depth < depth:
+        assert loop.time() < deadline, f"queue stuck at {batcher.depth}"
+        await asyncio.sleep(0.001)
 
 
 class TestWorksheetRow:
@@ -132,7 +160,7 @@ class TestBitwiseParity:
                 *[batcher.submit(ws) for ws in variants]
             )
 
-        results = run(_with_batcher(body, max_wait_us=5000.0))
+        results = run(_with_batcher(body))
         sizes = {batch_size for _, batch_size in results}
         assert sizes == {8}, "expected all 8 requests in one batch"
         for ws, (record, _) in zip(variants, results):
@@ -159,7 +187,7 @@ class TestCoalescing:
                 *[batcher.submit(WORKSHEET) for _ in range(32)]
             )
 
-        results = run(_with_batcher(body, max_wait_us=5000.0))
+        results = run(_with_batcher(body))
         assert {batch_size for _, batch_size in results} == {32}
         assert len(results) == 32
 
@@ -169,17 +197,47 @@ class TestCoalescing:
                 *[batcher.submit(WORKSHEET) for _ in range(10)]
             )
 
-        results = run(_with_batcher(body, max_batch_size=4,
-                                    max_wait_us=2000.0))
-        assert max(batch_size for _, batch_size in results) <= 4
+        results = run(_with_batcher(body, max_batch_size=4))
+        assert sorted(batch_size for _, batch_size in results) == (
+            [2] * 2 + [4] * 8
+        )
 
-    def test_zero_wait_still_serves(self):
+    def test_zero_wait_still_serves(self, monkeypatch):
+        """A lone request is dispatched at once: no coalescing timer."""
         async def body(batcher):
+            async def no_sleep(*args, **kwargs):
+                raise AssertionError("batcher path awaited asyncio.sleep")
+
+            monkeypatch.setattr(asyncio, "sleep", no_sleep)
             return await batcher.submit(WORKSHEET)
 
-        record, batch_size = run(_with_batcher(body, max_wait_us=0.0))
+        record, batch_size = run(_with_batcher(body))
         assert batch_size == 1
         assert record["single"]["speedup"] > 0
+
+    def test_arrivals_during_a_batch_form_the_next_batch(self):
+        async def body(batcher):
+            late = []
+            execute = batcher._execute
+
+            def execute_and_admit(batch):
+                # Requests that arrive while the first batch runs must
+                # queue behind it and then share one follow-up batch.
+                if not late:
+                    late.extend(
+                        asyncio.ensure_future(batcher.submit(WORKSHEET))
+                        for _ in range(5)
+                    )
+                execute(batch)
+
+            batcher._execute = execute_and_admit
+            first = await batcher.submit(WORKSHEET)
+            return first, await asyncio.gather(*late), batcher.batches
+
+        (_, first_size), rest, batches = run(_with_batcher(body))
+        assert first_size == 1
+        assert [batch_size for _, batch_size in rest] == [5] * 5
+        assert batches == 2
 
     def test_mixed_modes_in_one_batch(self):
         async def body(batcher):
@@ -190,7 +248,7 @@ class TestCoalescing:
             )
 
         only_single, only_double, both = run(
-            _with_batcher(body, max_wait_us=5000.0)
+            _with_batcher(body)
         )
         assert set(only_single[0]) == {"single"}
         assert set(only_double[0]) == {"double"}
@@ -209,7 +267,7 @@ class TestQuarantine:
             ]
             return await asyncio.gather(*futures, return_exceptions=True)
 
-        ok1, err, ok2 = run(_with_batcher(body, max_wait_us=5000.0))
+        ok1, err, ok2 = run(_with_batcher(body))
         assert isinstance(err, ParameterError)
         for ok in (ok1, ok2):
             record, _ = ok
@@ -241,7 +299,7 @@ class TestQuarantine:
                 )
                 return results[1]
 
-            served = run(_with_batcher(body, max_wait_us=5000.0))
+            served = run(_with_batcher(body))
             assert isinstance(served, ParameterError)
             assert str(served) == str(scalar_info.value)
 
@@ -257,8 +315,9 @@ class TestAdmissionControl:
                 asyncio.ensure_future(batcher.submit(WORKSHEET))
                 for _ in range(4)
             ]
-            # One yield lets the submits enqueue; the long coalescing
-            # window keeps the consumer from draining them yet.
+            # One yield lets the submits enqueue; the consumer they
+            # wake is scheduled behind this coroutine, so the queue is
+            # still full when the fifth submit arrives.
             await asyncio.sleep(0)
             with pytest.raises(AdmissionError) as info:
                 await batcher.submit(WORKSHEET)
@@ -266,7 +325,7 @@ class TestAdmissionControl:
             return await asyncio.gather(*tasks)
 
         results = run(
-            _with_batcher(body, max_pending=4, max_wait_us=50000.0)
+            _with_batcher(body, max_pending=4)
         )
         assert len(results) == 4
 
@@ -287,7 +346,7 @@ class TestAdmissionControl:
                 await batcher.submit(WORKSHEET, deadline_s=-1.0)
             return await good
 
-        record, _ = run(_with_batcher(body, max_wait_us=1000.0))
+        record, _ = run(_with_batcher(body))
         assert record["single"]["speedup"] > 0
 
     def test_retry_after_scales_with_depth(self):
@@ -300,17 +359,31 @@ class TestAdmissionControl:
         with pytest.raises(ParameterError):
             MicroBatcher(max_batch_size=0)
         with pytest.raises(ParameterError):
-            MicroBatcher(max_wait_us=-1.0)
-        with pytest.raises(ParameterError):
             MicroBatcher(max_pending=0)
-        with pytest.raises(ParameterError):
-            MicroBatcher(workers=0)
+
+    def test_no_wait_or_worker_knobs_anywhere(self):
+        """Batches form on arrival with one consumer, so no layer takes
+        a coalescing-wait or consumer-count setting."""
+        from dataclasses import fields
+
+        from repro.serve import RATApp, serve
+        from repro.serve.cluster import ShardConfig
+
+        surfaces = {
+            "MicroBatcher": inspect.signature(MicroBatcher).parameters,
+            "RATApp": inspect.signature(RATApp).parameters,
+            "serve": inspect.signature(serve).parameters,
+            "ShardConfig": [f.name for f in fields(ShardConfig)],
+        }
+        for surface, names in surfaces.items():
+            retired = [n for n in names if "wait" in n or n == "workers"]
+            assert retired == [], f"{surface} still takes {retired}"
 
 
 class TestLifecycle:
     def test_close_drains_queued_work(self):
         async def body():
-            batcher = MicroBatcher(max_wait_us=50000.0)
+            batcher = MicroBatcher()
             batcher.start()
             futures = [
                 asyncio.ensure_future(batcher.submit(WORKSHEET))
@@ -325,7 +398,7 @@ class TestLifecycle:
 
     def test_close_without_drain_fails_queued_work(self):
         async def body():
-            batcher = MicroBatcher(max_wait_us=50000.0)
+            batcher = MicroBatcher()
             batcher.start()
             future = asyncio.ensure_future(batcher.submit(WORKSHEET))
             await asyncio.sleep(0)
@@ -346,39 +419,30 @@ class TestLifecycle:
         run(body())
 
     def test_counters_track_served_batches(self):
+        from repro.obs import get_metrics
+
+        metrics = get_metrics()
+        waits = metrics.histogram("serve.batch_wait_seconds")
+        sizes = metrics.histogram("serve.batch_size")
+        before = waits.count, sizes.count
+
         async def body(batcher):
             await asyncio.gather(
                 *[batcher.submit(WORKSHEET) for _ in range(6)]
             )
             return batcher.batches, batcher.served
 
-        batches, served = run(_with_batcher(body, max_wait_us=5000.0))
-        assert served == 6
-        assert 1 <= batches <= 6
+        batches, served = run(_with_batcher(body))
+        assert (batches, served) == (1, 6)
+        # Queue wait is per request; batch size is per batch.
+        assert waits.count - before[0] == 6
+        assert sizes.count - before[1] == 1
 
 
-class TestPlanReuse:
-    def test_plan_compiles_stay_flat_under_repeated_requests(self):
-        from repro.obs import get_metrics
-
-        compiles = get_metrics().counter("plan.compiles")
-
-        async def body(batcher):
-            # Compilation happened in MicroBatcher.__init__ (before this
-            # coroutine ran); every submit must reuse that one plan.
-            before = compiles.value
-            for _ in range(5):
-                await asyncio.gather(
-                    *[batcher.submit(WORKSHEET) for _ in range(4)]
-                )
-            return compiles.value - before
-
-        compiled_during_serving = run(_with_batcher(body, max_wait_us=500.0))
-        assert compiled_during_serving == 0
-
-    def test_parity_survives_plan_path_with_quarantine(self):
-        # A mixed batch: one poisoned row quarantined, survivors served
-        # through the plan still byte-match scalar predict.
+class TestParityWithQuarantine:
+    def test_parity_survives_quarantine(self):
+        # A mixed batch: one poisoned row quarantined, the surviving
+        # rows still byte-match scalar predict.
         async def body(batcher):
             good = batcher.submit(WORKSHEET)
             bad = batcher.submit({**WORKSHEET, "alpha_write": 1.7})
@@ -389,7 +453,7 @@ class TestPlanReuse:
             return results
 
         first, poisoned, second = run(
-            _with_batcher(body, max_wait_us=5000.0)
+            _with_batcher(body)
         )
         assert isinstance(poisoned, ParameterError)
         rat = RATInput.from_dict(WORKSHEET)

@@ -5,14 +5,16 @@ import json
 
 from repro.serve import RATApp, RATServer
 
-from .test_batcher import WORKSHEET
+from .test_batcher import WORKSHEET, hold_consumer, wait_for_depth
 
 
-async def _start_server(**app_kwargs):
+async def _start_server(*, held=False, **app_kwargs):
+    """Start a server; ``held`` also returns the batcher's release()."""
     app = RATApp(**app_kwargs)
+    release = hold_consumer(app.batcher) if held else None
     server = RATServer(app, host="127.0.0.1", port=0)
     await server.start()
-    return app, server
+    return (app, server, release) if held else (app, server)
 
 
 def _request_bytes(method, path, payload=None, extra_headers=""):
@@ -84,16 +86,21 @@ class TestEndToEnd:
             return json.loads(body)["batch_size"]
 
         async def body():
-            app, server = await _start_server(max_wait_us=10000.0)
+            app, server, release = await _start_server(held=True)
             try:
-                return await asyncio.gather(
-                    *[one(server.port) for _ in range(16)]
-                )
+                clients = [
+                    asyncio.ensure_future(one(server.port))
+                    for _ in range(16)
+                ]
+                await wait_for_depth(app.batcher, 16)
+                release()
+                return await asyncio.gather(*clients)
             finally:
+                release()
                 await server.shutdown()
 
         sizes = asyncio.run(body())
-        assert max(sizes) > 1, f"no coalescing across connections: {sizes}"
+        assert sizes == [16] * 16, f"connections did not coalesce: {sizes}"
 
     def test_error_status_on_the_wire(self):
         async def body():
@@ -182,14 +189,15 @@ class TestFraming:
 class TestDrain:
     def test_drain_serves_inflight_then_stops(self):
         async def body():
-            app, server = await _start_server(max_wait_us=20000.0)
+            app, server, release = await _start_server(held=True)
             inflight = asyncio.ensure_future(_roundtrip(
                 server.port,
                 _request_bytes("POST", "/v1/predict", WORKSHEET),
             ))
-            await asyncio.sleep(0.01)  # let it reach the batcher queue
+            await wait_for_depth(app.batcher, 1)  # queued, not yet served
             run_task = asyncio.ensure_future(server.run())
             server.drain()
+            release()
             await asyncio.wait_for(run_task, timeout=10.0)
             [(status, _, raw)] = await inflight
             # After drain the listener is gone.

