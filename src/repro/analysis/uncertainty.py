@@ -28,9 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ..core.batch import BatchInput
+from ..core.batch import BatchInput, batch_predict
 from ..core.buffering import BufferingMode
-from ..core.plan import shared_plan
 from ..core.params import RATInput
 from ..core.throughput import predict
 from ..errors import ParameterError
@@ -257,10 +256,9 @@ def predict_monte_carlo(
 ) -> MonteCarloPrediction:
     """Sample the speedup distribution under independent uniform ranges.
 
-    All draws are generated as arrays and evaluated in one pass through
-    the worksheet's cached :func:`~repro.core.plan.shared_plan`, so
-    sample counts in the tens of thousands cost milliseconds and
-    repeated runs reuse one compiled kernel.  Deterministic for a given
+    All draws are generated as arrays and evaluated in one
+    :func:`~repro.core.batch.batch_predict` pass, so sample counts in
+    the tens of thousands cost milliseconds.  Deterministic for a given
     seed (the draws come from one ``(n_samples, n_fields)`` uniform
     matrix).
     """
@@ -268,7 +266,7 @@ def predict_monte_carlo(
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     batch = uncertain.sample_batch(rng, n_samples)
-    prediction = shared_plan(uncertain.base).evaluate(batch, mode)
+    prediction = batch_predict(batch, mode)
     return MonteCarloPrediction(
         samples=tuple(float(s) for s in prediction.speedup),
         nominal=predict(uncertain.base, mode).speedup,

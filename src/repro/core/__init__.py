@@ -10,10 +10,6 @@ Submodules
 ``batch``
     Struct-of-arrays evaluation of the same equations over thousands to
     millions of design points per call (the exploration fast path).
-``plan``
-    Compiled prediction plans: bind a worksheet once, pre-size buffers,
-    and run the equations as a fused tiled kernel with bitwise parity
-    to ``batch`` (the serve/explore steady-state path).
 ``buffering``
     Overlap scenarios of Figure 2 and analytic timeline construction.
 ``worksheet``
@@ -51,7 +47,6 @@ from .params import (
     RATInput,
     SoftwareParams,
 )
-from .plan import PlanCache, PredictionPlan, compile_plan, shared_plan
 from .throughput import ThroughputPrediction, predict
 from .worksheet import PerformanceTable, RATWorksheet
 
@@ -70,20 +65,16 @@ __all__ = [
     "LintWarning",
     "OverlapTimeline",
     "PerformanceTable",
-    "PlanCache",
-    "PredictionPlan",
     "RATInput",
     "RATWorksheet",
     "SoftwareParams",
     "ThroughputPrediction",
     "TimelineSegment",
-    "compile_plan",
     "estimate_power",
     "lint_worksheet",
     "mark_rows_valid",
     "max_achievable_speedup",
     "predict",
-    "shared_plan",
     "required_alpha",
     "required_clock",
     "required_throughput_proc",

@@ -13,9 +13,11 @@ layer:
 * **Bitwise agreement.**  Every formula is written with the exact same
   operation order as the scalar functions in
   :mod:`repro.core.throughput`, so each row of a batch result is the
-  IEEE-754-identical value the scalar path would produce (pinned to
-  ~1e-12 by ``tests/core/test_batch.py``, and exactly relied upon by
-  ``crossover_block_size``'s lattice search).
+  IEEE-754-identical value the scalar path would produce (pinned
+  bitwise by ``tests/core/test_batch.py``, and relied upon by
+  ``crossover_block_size``'s lattice search).  Folding broadcast
+  columns keeps this: a folded step is the same IEEE-754 operation,
+  done once instead of per row.
 * **Round-tripping.**  :meth:`BatchInput.from_inputs` /
   :meth:`BatchInput.row` convert losslessly to and from the scalar
   :class:`~repro.core.params.RATInput`, and
@@ -34,6 +36,7 @@ layer's row-level quarantine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -82,6 +85,9 @@ _COLUMNS = (
     "n_iterations",
 )
 
+#: Every column of a batch as one tuple, in ``_COLUMNS`` order.
+_get_columns = operator.attrgetter(*_COLUMNS)
+
 
 def _as_column(name: str, values: object, n: int) -> np.ndarray:
     """Coerce one field to a float64 column of length ``n``."""
@@ -97,11 +103,6 @@ def _as_column(name: str, values: object, n: int) -> np.ndarray:
             f"{name} has {array.shape[0]} rows, expected {n}"
         )
     return array
-
-
-def _first_bad(mask: np.ndarray) -> int:
-    """Index of the first row violating a validation mask."""
-    return int(np.argmax(mask))
 
 
 #: Inclusive ``(low, high)`` bounds per rule kind.  ``low <= x <= high``
@@ -141,10 +142,30 @@ _ROW_RULES: tuple[
 _LOW = np.array([[low] for _, (low, _high), _ in _ROW_RULES])
 _HIGH = np.array([[high] for _, (_low, high), _ in _ROW_RULES])
 
+#: Rows stacked per comparison in :func:`_rule_ok`.  Larger batches are
+#: stacked ~1.4 MB at a time instead of copying every validated column
+#: at once (88 MB at a million rows).
+_RULE_BLOCK = 16384
 
-def _bad(column: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    """Bad-row mask of one column against one rule's bounds."""
-    return ~((column >= bounds[0]) & (column <= bounds[1]))
+
+def _rule_ok(batch: "BatchInput") -> np.ndarray:
+    """The ``(rules, rows)`` pass matrix of every row against every rule.
+
+    Row ``r`` follows ``_ROW_RULES[r]``; this one stacked pass is what
+    validation, :func:`row_violations` and :func:`valid_row_mask` read.
+    """
+    columns = [getattr(batch, name) for name, _, _ in _ROW_RULES]
+    n = len(batch)
+    if n <= _RULE_BLOCK:
+        stacked = np.array(columns)
+        return (stacked >= _LOW) & (stacked <= _HIGH)
+    ok = np.empty((len(columns), n), dtype=bool)
+    for lo in range(0, n, _RULE_BLOCK):
+        stacked = np.array([column[lo:lo + _RULE_BLOCK] for column in columns])
+        np.logical_and(
+            stacked >= _LOW, stacked <= _HIGH, out=ok[:, lo:lo + _RULE_BLOCK]
+        )
+    return ok
 
 
 @dataclass(frozen=True)
@@ -173,8 +194,7 @@ def row_violations(batch: "BatchInput") -> list[RowViolation]:
     Every rule is checked in one stacked pass; only rows that fail it
     are diagnosed rule by rule.
     """
-    stacked = np.array([getattr(batch, name) for name, _, _ in _ROW_RULES])
-    ok = (stacked >= _LOW) & (stacked <= _HIGH)
+    ok = _rule_ok(batch)
     if ok.all():
         return []
     failing = np.flatnonzero(~ok.all(axis=0))
@@ -183,7 +203,7 @@ def row_violations(batch: "BatchInput") -> list[RowViolation]:
     found: list[RowViolation] = []
     for i, rule in zip(failing.tolist(), first_rule.tolist()):
         name, _, describe = _ROW_RULES[rule]
-        value = float(stacked[rule, i])
+        value = float(getattr(batch, name)[i])
         message = describe(name, value)
         assert message is not None
         found.append(RowViolation(i, name, value, message))
@@ -192,10 +212,7 @@ def row_violations(batch: "BatchInput") -> list[RowViolation]:
 
 def valid_row_mask(batch: "BatchInput") -> np.ndarray:
     """Boolean column: True where the row passes every validation rule."""
-    ok = np.ones(len(batch), dtype=bool)
-    for name, bounds, _ in _ROW_RULES:
-        ok &= ~_bad(getattr(batch, name), bounds)
-    return ok
+    return _rule_ok(batch).all(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,13 +234,13 @@ class BatchInput:
     can never silently flow into the equations.
 
     ``broadcast`` names columns whose rows are all the identical value —
-    staging metadata that compiled plans exploit by reading such a
-    column once instead of streaming it per row.  It is a *trusted
+    staging metadata :func:`batch_predict` exploits by reading such a
+    column once and folding the steps it feeds.  It is a *trusted
     invariant*, maintained automatically by :meth:`from_base` (the only
     constructor that knows a column was broadcast from one scalar) and
     preserved by slicing/``take``; callers constructing batches directly
     must list a column only if every row truly holds one value, or
-    plan-evaluated results will silently diverge from ``batch_predict``.
+    every row will silently be predicted from the column's first value.
     """
 
     elements_in: np.ndarray
@@ -265,15 +282,21 @@ class BatchInput:
             self._validate()
 
     def _validate(self) -> None:
-        """Vectorized mirror of the scalar dataclasses' validation."""
-        for name, bounds, describe in _ROW_RULES:
-            column = getattr(self, name)
-            bad = _bad(column, bounds)
-            if bad.any():
-                i = _first_bad(bad)
-                raise ParameterError(
-                    f"{describe(name, float(column[i]))} at row {i}"
-                )
+        """Vectorized mirror of the scalar dataclasses' validation.
+
+        Raises for the first rule, in table order, that any row breaks,
+        naming that rule's first offending row.
+        """
+        ok = _rule_ok(self)
+        rule_ok = ok.all(axis=1)
+        if rule_ok.all():
+            return
+        rule = int(rule_ok.argmin())
+        i = int(ok[rule].argmin())
+        name, _, describe = _ROW_RULES[rule]
+        raise ParameterError(
+            f"{describe(name, float(getattr(self, name)[i]))} at row {i}"
+        )
 
     # ---- construction ------------------------------------------------------
 
@@ -342,9 +365,9 @@ class BatchInput:
         the class docstring) for quarantine-style callers.
 
         Columns left at the base worksheet's value (or overridden with a
-        scalar) are recorded in ``broadcast``, which lets a compiled
-        :class:`~repro.core.plan.PredictionPlan` read them as scalars
-        instead of streaming ``n`` identical values per evaluation.
+        scalar) are recorded in ``broadcast``, which lets
+        :func:`batch_predict` read them as scalars instead of streaming
+        ``n`` identical values.
         """
         if n < 1:
             raise ParameterError(f"batch size must be >= 1, got {n}")
@@ -580,6 +603,12 @@ def batch_predict(
     The call increments ``throughput.predictions`` by the batch size and
     feeds the ``throughput.speedup`` histogram in bulk, keeping metric
     semantics consistent with the scalar path.
+
+    Columns listed in ``batch.broadcast`` are read once as floats, and
+    any step whose operands are all floats is computed once instead of
+    per row: the same IEEE-754 operation, so folding never changes a
+    bit.  A result left as a float is returned as a filled column.  Every
+    returned column is a fresh array owned by the caller.
     """
     if mode not in (BufferingMode.SINGLE, BufferingMode.DOUBLE):
         raise ParameterError(f"unknown buffering mode {mode!r}")
@@ -587,52 +616,59 @@ def batch_predict(
         # A deferred-validation batch must never reach the equations with
         # invalid rows: the divisions below would turn them into silent
         # inf/NaN where the scalar path raises.  Quarantine callers split
-        # the batch with valid_row_mask()/take() before predicting.
+        # the batch with row_violations()/take() before predicting.
         batch._validate()
     n = len(batch)
     with get_tracer().span(
         "rat.batch_predict", {"points": n, "mode": mode.value}, "throughput"
     ):
-        # Buffers are reused via ``out=`` once an intermediate is dead:
-        # at a million rows each float64 column is 8 MB, and letting
-        # every intermediate allocate fresh pages made first-touch page
-        # faults — not arithmetic — the dominant cost.  Values are
-        # unchanged (same ufuncs, same operation order as scalar).
-        # Equation (2): bytes_in / write_bandwidth, same op order as scalar.
-        bytes_in = batch.elements_in * batch.bytes_per_element
-        write_bandwidth = batch.alpha_write * batch.ideal_bandwidth
-        t_input = np.divide(bytes_in, write_bandwidth, out=bytes_in)
+        operands = _get_columns(batch)
+        if n and batch.broadcast:
+            operands = tuple(
+                float(column[0]) if name in batch.broadcast else column
+                for name, column in zip(_COLUMNS, operands)
+            )
+        (e_in, e_out, bpe, bandwidth, alpha_write, alpha_read, ops, proc,
+         clock_hz, t_soft, n_iterations) = operands
+        # Plain operators, so a step whose operands are all floats runs
+        # once in Python and a step touching a column runs per row in
+        # numpy.  Equation (2), same op order as scalar.
+        t_input = e_in * bpe / (alpha_write * bandwidth)
         # Equation (3), with the scalar path's zero-output short-circuit.
-        bytes_out = np.multiply(
-            batch.elements_out, batch.bytes_per_element, out=write_bandwidth
-        )
-        read_bandwidth = batch.alpha_read * batch.ideal_bandwidth
-        t_output = np.divide(bytes_out, read_bandwidth, out=bytes_out)
-        np.copyto(t_output, 0.0, where=batch.elements_out == 0)
+        if isinstance(e_out, float):
+            t_output = (
+                0.0 if e_out == 0 else e_out * bpe / (alpha_read * bandwidth)
+            )
+        else:
+            t_output = e_out * bpe / (alpha_read * bandwidth)
+            np.copyto(t_output, 0.0, where=e_out == 0)
         # Equations (1), (4).
         t_comm = t_input + t_output
-        total_ops = np.multiply(
-            batch.elements_in, batch.ops_per_element, out=read_bandwidth
-        )
-        ops_per_second = batch.clock_hz * batch.throughput_proc
-        t_comp = np.divide(total_ops, ops_per_second, out=total_ops)
+        t_comp = e_in * ops / (clock_hz * proc)
         # Equations (5)-(11).
         if mode is BufferingMode.SINGLE:
-            t_iteration = np.add(t_comm, t_comp, out=ops_per_second)
+            t_iteration = t_comm + t_comp
         else:
-            t_iteration = np.maximum(t_comm, t_comp, out=ops_per_second)
-        t_rc = batch.n_iterations * t_iteration
+            t_iteration = np.maximum(t_comm, t_comp)
+        t_rc = n_iterations * t_iteration
+        results = {
+            "t_input": t_input,
+            "t_output": t_output,
+            "t_comm": t_comm,
+            "t_comp": t_comp,
+            "t_rc": t_rc,
+            "speedup": t_soft / t_rc,
+            "util_comp": t_comp / t_iteration,
+            "util_comm": t_comm / t_iteration,
+        }
         prediction = BatchPrediction(
             batch=batch,
             mode=mode,
-            t_input=t_input,
-            t_output=t_output,
-            t_comm=t_comm,
-            t_comp=t_comp,
-            t_rc=t_rc,
-            speedup=batch.t_soft / t_rc,
-            util_comp=t_comp / t_iteration,
-            util_comm=t_comm / t_iteration,
+            **{
+                name: value if isinstance(value, np.ndarray)
+                else np.full(n, value)
+                for name, value in results.items()
+            },
         )
     metrics = get_metrics()
     metrics.counter("throughput.predictions").inc(n)

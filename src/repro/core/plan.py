@@ -1,520 +1,10 @@
-"""Compiled prediction plans: the Equations (1)-(11) hot path, fused.
+"""Placeholder for the retired compiled-plan module.
 
-:func:`repro.core.batch.batch_predict` is already vectorized, but every
-call still re-derives the equation dataflow from scratch: it allocates
-nine fresh intermediate columns (at a million rows each is 8 MB, so the
-allocator hands back new mmap'd pages whose first-touch faults dominate
-the runtime), streams every column through memory once per equation
-pass, and re-validates unchecked batches.  For callers that evaluate the
-*same shape of work* thousands of times — serve's micro-batcher,
-explore's chunk workers, the analysis sweeps — that per-call overhead is
-pure waste.
-
-A :class:`PredictionPlan` pays those costs once, at compile time:
-
-* **Buffers are pre-sized.**  The eight result columns plus the kernel's
-  scratch are allocated for a declared ``capacity`` (growable; growth is
-  counted on ``plan.buffer_grows``).  A steady-state ``evaluate`` call
-  performs **zero array allocations** — every ufunc writes into a view
-  of a plan-owned buffer.
-* **The equation passes are fused.**  Instead of one full-column sweep
-  per equation, the kernel walks the batch in cache-sized *tiles* and
-  runs the entire Eq (1)-(11) chain on each tile while it is hot in L2.
-  Each input column is read from memory once and each result column
-  written once — ~3 effective sweeps over the data instead of ~17.
-  Columns the staging layer marked ``broadcast`` (constant across the
-  batch, the common case for ``BatchInput.from_base`` spaces) are not
-  streamed at all: the kernel reads them once as scalars and folds
-  scalar-scalar products outside the tile loop.
-* **The worksheet binds once.**  A plan optionally freezes a base
-  :class:`~repro.core.params.RATInput` (validated by construction);
-  :meth:`PredictionPlan.batch` then stages derived batches without
-  re-touching the scalar dataclasses, and :class:`PlanCache` /
-  :func:`shared_plan` key compiled plans by ``(base, dtype)`` so hot
-  consumers reuse them across calls and processes.
-
-Correctness contract — **bitwise parity**: in the default float64 mode,
-:meth:`PredictionPlan.evaluate` applies the exact ufuncs of
-:func:`~repro.core.batch.batch_predict` in the exact per-element
-operation order (tiling never reorders the arithmetic applied to any
-single row), so every result column is IEEE-754-identical to the
-uncompiled path — which is itself bitwise-equal to scalar ``predict``.
-Unchecked (``check=False``) batches are re-validated with the same rule
-set and raise the same ``ParameterError`` text, so the PR 3 quarantine
-machinery behaves identically through a plan.
-
-The opt-in ``dtype=np.float32`` mode halves buffer traffic by casting
-inputs into plan-owned float32 columns and running the same fused kernel
-in single precision.  It is **excluded from the bitwise contract**: with
-~6 rounded operations between inputs and any output, results track the
-float64 path to within a few float32 ulps (bounded in
-``tests/core/test_plan.py``; see ``docs/performance.md`` for the
-documented bound and when the trade-off is worth it).
-
-Observability: compilation runs under a ``plan.compile`` span and counts
-on ``plan.compiles``; every evaluation records a ``plan.evaluate`` span,
-the ``plan.evaluate_seconds`` histogram, and ``plan.evaluates`` /
-``plan.points`` counters.  Plans also maintain the batch engine's
-``throughput.predictions`` / ``throughput.speedup`` metrics so swapping
-``batch_predict`` for a plan does not silently dim existing dashboards.
-
-Thread safety: ``evaluate`` serializes on an internal lock (numpy
-releases the GIL mid-ufunc, so unsynchronized callers could interleave
-tile writes).  The returned columns are *views into plan buffers* by
-default — valid until the next ``evaluate`` on the same plan.  Callers
-that retain results across calls (or share a plan between threads) pass
-``copy=True``, which snapshots the columns while still inside the lock.
+Equations (1)-(11) have one vectorized kernel,
+:func:`repro.core.batch.batch_predict`.  This module exists only because
+``perfbench/tracing.py`` still runs ``from repro.core import batch, plan``
+and looks up ``plan.PredictionPlan``; its tracer skips a ``None`` owner.
+Delete it together with that import.
 """
 
-from __future__ import annotations
-
-import threading
-import time
-from collections import OrderedDict
-from typing import Mapping
-
-import numpy as np
-
-from ..errors import ParameterError
-from ..obs import get_metrics, get_tracer
-from .batch import _COLUMNS, BatchInput, BatchPrediction
-from .buffering import BufferingMode
-from .params import RATInput
-
-__all__ = [
-    "DEFAULT_TILE",
-    "PlanCache",
-    "PredictionPlan",
-    "compile_plan",
-    "shared_plan",
-]
-
-#: Rows per kernel tile.  ~21 live views of this length (11 inputs,
-#: 8 results, 2 scratch) must stay resident while a tile is processed:
-#: 8192 float64 rows keep the working set around 1.3 MB — inside L2 on
-#: anything current — while leaving each ufunc call long enough that
-#: numpy dispatch overhead stays negligible.
-DEFAULT_TILE = 8192
-
-#: Result columns, in :class:`~repro.core.batch.BatchPrediction` order.
-_RESULT_COLUMNS = (
-    "t_input",
-    "t_output",
-    "t_comm",
-    "t_comp",
-    "t_rc",
-    "speedup",
-    "util_comp",
-    "util_comm",
-)
-
-#: Supported compute dtypes.  float64 carries the bitwise-parity
-#: contract; float32 is the documented-ulp-bound fast mode.
-_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-
-
-class PredictionPlan:
-    """One compiled evaluator for Equations (1)-(11).
-
-    ``base`` optionally binds (and freezes) a worksheet for
-    :meth:`batch` staging and cache keying; ``capacity`` pre-sizes the
-    result buffers (0 defers allocation to the first evaluate);
-    ``dtype`` selects float64 (bitwise-parity) or float32 (fast,
-    ulp-bounded) arithmetic; ``tile`` is the fusion granularity.
-
-    Compile once, evaluate many: construction is the expensive step
-    (buffer allocation, worksheet freeze, a ``plan.compile`` span) and
-    is counted on ``plan.compiles`` — hot paths hold plans in a
-    :class:`PlanCache` precisely so that counter stays flat under load.
-    """
-
-    def __init__(
-        self,
-        base: RATInput | None = None,
-        *,
-        capacity: int = 0,
-        dtype: object = np.float64,
-        tile: int = DEFAULT_TILE,
-    ) -> None:
-        if capacity < 0:
-            raise ParameterError(f"capacity must be >= 0, got {capacity}")
-        if tile < 1:
-            raise ParameterError(f"tile must be >= 1, got {tile}")
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in _DTYPES:
-            raise ParameterError(
-                f"plan dtype must be float64 or float32, got {self.dtype}"
-            )
-        self.base = base
-        self.tile = int(tile)
-        self.capacity = 0
-        self.grows = 0
-        self.evaluations = 0
-        self._lock = threading.Lock()
-        #: Frozen SI scalars of the bound worksheet (None when unbound):
-        #: the values :meth:`batch` broadcasts, captured once at compile
-        #: time so staging never re-walks the parameter dataclasses.
-        self.frozen: Mapping[str, float] | None = None
-        if base is not None:
-            self.frozen = {
-                "elements_in": float(base.dataset.elements_in),
-                "elements_out": float(base.dataset.elements_out),
-                "bytes_per_element": float(base.dataset.bytes_per_element),
-                "ideal_bandwidth": float(base.communication.ideal_bandwidth),
-                "alpha_write": float(base.communication.alpha_write),
-                "alpha_read": float(base.communication.alpha_read),
-                "ops_per_element": float(base.computation.ops_per_element),
-                "throughput_proc": float(base.computation.throughput_proc),
-                "clock_hz": float(base.computation.clock_hz),
-                "t_soft": float(base.software.t_soft),
-                "n_iterations": float(base.software.n_iterations),
-            }
-        with get_tracer().span(
-            "plan.compile",
-            {
-                "capacity": int(capacity),
-                "dtype": self.dtype.name,
-                "tile": self.tile,
-                "worksheet": base.name if base is not None else "",
-            },
-            "plan",
-        ):
-            self._out: dict[str, np.ndarray] = {
-                name: np.empty(0, dtype=self.dtype)
-                for name in _RESULT_COLUMNS
-            }
-            #: float32 mode stages inputs through plan-owned casts; the
-            #: float64 kernel reads the batch columns directly.
-            self._cast: dict[str, np.ndarray] | None = (
-                None
-                if self.dtype == np.float64
-                else {
-                    name: np.empty(0, dtype=self.dtype) for name in _COLUMNS
-                }
-            )
-            self._scratch = np.empty(self.tile, dtype=self.dtype)
-            self._zero_mask = np.empty(self.tile, dtype=bool)
-            if capacity:
-                self._grow(int(capacity), count=False)
-        get_metrics().counter("plan.compiles").inc()
-
-    # ---- buffers -----------------------------------------------------------
-
-    def _grow(self, capacity: int, *, count: bool = True) -> None:
-        """(Re)allocate result/cast buffers for ``capacity`` rows."""
-        self._out = {
-            name: np.empty(capacity, dtype=self.dtype)
-            for name in _RESULT_COLUMNS
-        }
-        if self._cast is not None:
-            self._cast = {
-                name: np.empty(capacity, dtype=self.dtype)
-                for name in _COLUMNS
-            }
-        self.capacity = capacity
-        if count:
-            self.grows += 1
-            get_metrics().counter("plan.buffer_grows").inc()
-
-    def _ensure_capacity(self, n: int) -> None:
-        """Grow geometrically so k growing evaluates cost O(log k) allocs."""
-        if n <= self.capacity:
-            return
-        self._grow(max(n, self.capacity * 2))
-
-    # ---- staging -----------------------------------------------------------
-
-    def batch(
-        self,
-        n: int,
-        overrides: Mapping[str, object] | None = None,
-        names: tuple[str, ...] = (),
-        *,
-        check: bool = True,
-    ) -> BatchInput:
-        """``n`` copies of the bound worksheet with columns overridden.
-
-        Sugar for :meth:`BatchInput.from_base` over the plan's frozen
-        base; requires the plan to have been compiled with one.
-        """
-        if self.base is None:
-            raise ParameterError(
-                "plan.batch requires a plan compiled with a base worksheet"
-            )
-        return BatchInput.from_base(
-            self.base, n, overrides, names, check=check
-        )
-
-    # ---- evaluation --------------------------------------------------------
-
-    def evaluate(
-        self,
-        batch: BatchInput,
-        mode: BufferingMode = BufferingMode.SINGLE,
-        *,
-        copy: bool = False,
-    ) -> BatchPrediction:
-        """Equations (1)-(11) over ``batch`` through the fused kernel.
-
-        Drop-in for :func:`~repro.core.batch.batch_predict`: float64
-        plans return bitwise-identical columns, unchecked batches are
-        re-validated with identical diagnostics, and the throughput
-        metrics advance the same way.  Result columns are views into
-        plan buffers unless ``copy=True`` — retain-or-share callers
-        must copy (see the module docstring).
-        """
-        if mode not in (BufferingMode.SINGLE, BufferingMode.DOUBLE):
-            raise ParameterError(f"unknown buffering mode {mode!r}")
-        if not batch.checked:
-            # Same gate as batch_predict: invalid rows must raise, not
-            # flow into the divisions as silent inf/NaN.  _validate
-            # raises the byte-identical scalar diagnostic.
-            batch._validate()
-        n = len(batch)
-        started = time.perf_counter()
-        with self._lock:
-            self._ensure_capacity(n)
-            with get_tracer().span(
-                "plan.evaluate",
-                {"points": n, "mode": mode.value, "dtype": self.dtype.name},
-                "plan",
-            ):
-                self._kernel(batch, mode, n)
-                if copy:
-                    columns = {
-                        name: self._out[name][:n].copy()
-                        for name in _RESULT_COLUMNS
-                    }
-                else:
-                    columns = {
-                        name: self._out[name][:n] for name in _RESULT_COLUMNS
-                    }
-            self.evaluations += 1
-        prediction = BatchPrediction(batch=batch, mode=mode, **columns)
-        metrics = get_metrics()
-        metrics.counter("plan.evaluates").inc()
-        metrics.counter("plan.points").inc(n)
-        metrics.histogram("plan.evaluate_seconds").observe(
-            time.perf_counter() - started
-        )
-        # Metric parity with batch_predict: consumers that switched to a
-        # plan keep feeding the same throughput instruments.
-        metrics.counter("throughput.predictions").inc(n)
-        metrics.histogram("throughput.speedup").observe_many(
-            prediction.speedup
-        )
-        return prediction
-
-    def _resolve_columns(
-        self, batch: BatchInput, n: int
-    ) -> dict[str, object]:
-        """Stage inputs: scalars for broadcast columns, arrays otherwise.
-
-        A column the staging layer marked ``broadcast`` holds one value
-        in every row, so the kernel reads it once as a scalar instead of
-        streaming ``n`` copies — on ``from_base``-staged spaces (a few
-        swept axes over a frozen worksheet) that removes most of the
-        input traffic.  float32 plans cast per-row columns into
-        plan-owned buffers here (the only non-result writes the kernel
-        performs; still allocation-free).
-        """
-        cast = self._cast
-        cols: dict[str, object] = {}
-        for name in _COLUMNS:
-            column = getattr(batch, name)
-            if n and name in batch.broadcast:
-                cols[name] = (
-                    np.float32(column[0]) if cast is not None
-                    else float(column[0])
-                )
-            elif cast is not None:
-                cast[name][:n] = column
-                cols[name] = cast[name]
-            else:
-                cols[name] = column
-        return cols
-
-    def _kernel(self, batch: BatchInput, mode: BufferingMode, n: int) -> None:
-        """The fused tiled kernel.  Writes results into ``self._out[:n]``.
-
-        Per row, this applies *operation-for-operation* the body of
-        ``batch_predict`` (see that function for the equation mapping);
-        only the storage differs — intermediates land in one tile-sized
-        scratch view instead of nine fresh full-length columns.  Every
-        operation is elementwise, so neither tiling the rows nor folding
-        a product of two broadcast scalars (the same IEEE-754 multiply,
-        applied once instead of per row) can change any row's
-        arithmetic: the float64 results match bitwise.
-        """
-        out = self._out
-        cols = self._resolve_columns(batch, n)
-        op_iteration = (
-            np.add if mode is BufferingMode.SINGLE else np.maximum
-        )
-
-        def is_row(value: object) -> bool:
-            return isinstance(value, np.ndarray)
-
-        def fold(a: object, b: object) -> object | None:
-            """``a*b`` now, if both sides are scalars (else: per tile)."""
-            return None if (is_row(a) or is_row(b)) else a * b
-
-        e_in = cols["elements_in"]
-        e_out = cols["elements_out"]
-        bpe = cols["bytes_per_element"]
-        bw = cols["ideal_bandwidth"]
-        aw = cols["alpha_write"]
-        ar = cols["alpha_read"]
-        bytes_in_c = fold(e_in, bpe)
-        write_bw_c = fold(aw, bw)
-        bytes_out_c = fold(e_out, bpe)
-        read_bw_c = fold(ar, bw)
-        total_ops_c = fold(e_in, cols["ops_per_element"])
-        ops_per_sec_c = fold(cols["clock_hz"], cols["throughput_proc"])
-        zero_all_outputs = (not is_row(e_out)) and e_out == 0
-        for lo in range(0, n, self.tile):
-            hi = min(lo + self.tile, n)
-            t = slice(lo, hi)
-            s = self._scratch[: hi - lo]
-
-            def at(value: object) -> object:
-                return value[t] if is_row(value) else value
-
-            t_input = out["t_input"][t]
-            t_output = out["t_output"][t]
-            t_comm = out["t_comm"][t]
-            t_comp = out["t_comp"][t]
-            t_rc = out["t_rc"][t]
-            # Equation (2): bytes_in / write_bandwidth.
-            if bytes_in_c is None:
-                np.multiply(at(e_in), at(bpe), out=t_input)
-            if write_bw_c is None:
-                np.multiply(at(aw), at(bw), out=s)
-            np.divide(
-                bytes_in_c if bytes_in_c is not None else t_input,
-                write_bw_c if write_bw_c is not None else s,
-                out=t_input,
-            )
-            # Equation (3), with the scalar path's zero-output short-circuit.
-            if bytes_out_c is None:
-                np.multiply(at(e_out), at(bpe), out=t_output)
-            if read_bw_c is None:
-                np.multiply(at(ar), at(bw), out=s)
-            np.divide(
-                bytes_out_c if bytes_out_c is not None else t_output,
-                read_bw_c if read_bw_c is not None else s,
-                out=t_output,
-            )
-            if is_row(e_out):
-                z = self._zero_mask[: hi - lo]
-                np.equal(at(e_out), 0, out=z)
-                np.copyto(t_output, 0.0, where=z)
-            elif zero_all_outputs:
-                np.copyto(t_output, 0.0)
-            # Equations (1), (4).
-            np.add(t_input, t_output, out=t_comm)
-            if total_ops_c is None:
-                np.multiply(at(e_in), at(cols["ops_per_element"]), out=t_comp)
-            if ops_per_sec_c is None:
-                np.multiply(
-                    at(cols["clock_hz"]),
-                    at(cols["throughput_proc"]),
-                    out=s,
-                )
-            np.divide(
-                total_ops_c if total_ops_c is not None else t_comp,
-                ops_per_sec_c if ops_per_sec_c is not None else s,
-                out=t_comp,
-            )
-            # Equations (5)-(11): s becomes t_iteration.
-            op_iteration(t_comm, t_comp, out=s)
-            np.multiply(at(cols["n_iterations"]), s, out=t_rc)
-            np.divide(at(cols["t_soft"]), t_rc, out=out["speedup"][t])
-            np.divide(t_comp, s, out=out["util_comp"][t])
-            np.divide(t_comm, s, out=out["util_comm"][t])
-
-
-def compile_plan(
-    base: RATInput | None = None,
-    *,
-    capacity: int = 0,
-    dtype: object = np.float64,
-    tile: int = DEFAULT_TILE,
-) -> PredictionPlan:
-    """Compile a :class:`PredictionPlan` (see the class for parameters)."""
-    return PredictionPlan(base, capacity=capacity, dtype=dtype, tile=tile)
-
-
-class PlanCache:
-    """A small LRU of compiled plans, keyed by ``(base worksheet, dtype)``.
-
-    The reuse backbone for hot consumers: explore's worker processes and
-    the analysis helpers fetch through a cache so repeated work against
-    the same frozen worksheet compiles exactly once per process.
-    Thread-safe; eviction drops the least-recently-fetched plan.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize < 1:
-            raise ParameterError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._plans: OrderedDict[tuple, PredictionPlan] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def get(
-        self,
-        base: RATInput | None = None,
-        *,
-        dtype: object = np.float64,
-        capacity: int = 0,
-        tile: int = DEFAULT_TILE,
-    ) -> PredictionPlan:
-        """Fetch the cached plan for ``(base, dtype)``, compiling on miss.
-
-        ``capacity``/``tile`` only shape a newly compiled plan; a cache
-        hit returns the existing plan as-is (its buffers grow on demand).
-        """
-        key = (base, np.dtype(dtype).name)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                return plan
-        # Compile outside the lock: construction allocates and traces.
-        plan = PredictionPlan(base, capacity=capacity, dtype=dtype, tile=tile)
-        with self._lock:
-            existing = self._plans.get(key)
-            if existing is not None:  # lost a compile race: reuse theirs
-                self._plans.move_to_end(key)
-                return existing
-            self._plans[key] = plan
-            while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-        return plan
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-
-
-#: Process-global plan reuse for callers without a natural place to hold
-#: a plan (the analysis sweeps, explore's worker processes).  Keyed by
-#: worksheet identity, so distinct studies do not thrash one plan's
-#: buffers — and sized generously enough that a typical process never
-#: evicts.
-_SHARED_CACHE = PlanCache(maxsize=16)
-
-
-def shared_plan(
-    base: RATInput | None = None, *, dtype: object = np.float64
-) -> PredictionPlan:
-    """The process-wide cached plan for ``(base, dtype)``.
-
-    Results evaluated through a shared plan are views into shared
-    buffers: materialize (or pass ``copy=True``) before the next
-    evaluate from the same call site may run.
-    """
-    return _SHARED_CACHE.get(base, dtype=dtype)
+PredictionPlan = None

@@ -58,7 +58,6 @@ from ..core.batch import (
 )
 from ..core.buffering import BufferingMode
 from ..core.params import RATInput
-from ..core.plan import shared_plan
 from ..core.throughput import ThroughputPrediction
 from ..errors import ExplorationError, ParameterError
 from ..obs import get_metrics, get_tracer
@@ -202,7 +201,6 @@ def _predict_chunk(
     chunk: BatchInput,
     mode: BufferingMode,
     trace: dict | None = None,
-    plan_key: RATInput | None = None,
 ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Worker-side chunk evaluation (top level so it pickles).
 
@@ -214,26 +212,13 @@ def _predict_chunk(
     cross the ``ProcessPoolExecutor`` boundary); activating it in the
     worker correlates any worker-side structured logs with the
     originating request's trace.
-
-    ``plan_key`` is the design space's base worksheet, shipped through
-    the chunk envelope the same way: it keys the worker-process-wide
-    :func:`~repro.core.plan.shared_plan` cache so every chunk of the
-    same exploration reuses one compiled plan per process.  Results are
-    copied out of the plan's buffers (``copy=True``) because the parent
-    retains chunk columns across the run.  ``plan_key=None`` falls back
-    to the uncompiled :func:`~repro.core.batch.batch_predict`.
     """
     token = (
         activate(TraceContext.from_dict(trace)) if trace is not None else None
     )
     try:
         started = time.perf_counter()
-        if plan_key is not None:
-            prediction = shared_plan(plan_key).evaluate(
-                chunk, mode, copy=True
-            )
-        else:
-            prediction = batch_predict(chunk, mode)
+        prediction = batch_predict(chunk, mode)
         elapsed = time.perf_counter() - started
         return elapsed, tuple(
             getattr(prediction, name) for name in _RESULT_FIELDS
@@ -510,18 +495,12 @@ def explore(
             runner.replay(completed)
             fn = partial(chunk_fn or _predict_chunk, mode=mode)
             ctx = current_context()
-            if chunk_fn is None:
-                # Ship the base worksheet through the chunk envelope
-                # so each worker process compiles one plan for this
-                # space and reuses it across its chunks; the trace
-                # context rides along the same way (read inside the
-                # explore.run span, so the shipped context is
+            if chunk_fn is None and ctx is not None:
+                # Ship the trace context with each chunk (read inside
+                # the explore.run span, so the shipped context is
                 # narrowed to that span's identity and worker-side
                 # chunks parent under it).
-                envelope: dict[str, object] = {"plan_key": space.base}
-                if ctx is not None:
-                    envelope["trace"] = ctx.to_dict()
-                fn = partial(_predict_chunk, mode=mode, **envelope)
+                fn = partial(fn, trace=ctx.to_dict())
             tasks = [eval_batch[lo:hi] for lo, hi in
                      (bounds[i] for i in runner.todo)]
             try:

@@ -56,7 +56,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.batch import BatchInput, row_violations, valid_row_mask
+from ..core.batch import BatchInput, row_violations
 from ..errors import ExplorationError, ParameterError
 from ..obs import get_metrics
 from ..obs.log import event, get_logger
@@ -219,7 +219,13 @@ def quarantine_rows(
     every scalar validation rule (evaluate these with ``take()``), and
     one :class:`PointFailure` per rejected row.  ``point_fn`` maps a row
     index to its axis values for the failure records.
+
+    One validation pass serves both: every invalid row gets exactly one
+    violation, so the valid rows are the rest.
     """
+    violations = row_violations(batch)
+    valid = np.ones(len(batch), dtype=bool)
+    valid[[violation.row for violation in violations]] = False
     failures = tuple(
         PointFailure(
             index=violation.row,
@@ -228,9 +234,9 @@ def quarantine_rows(
             reason=violation.message,
             point=dict(point_fn(violation.row)) if point_fn else None,
         )
-        for violation in row_violations(batch)
+        for violation in violations
     )
-    return np.flatnonzero(valid_row_mask(batch)), failures
+    return np.flatnonzero(valid), failures
 
 
 def _chunk_failure(

@@ -1,9 +1,8 @@
 """Shard runtime for the multi-process prediction cluster.
 
 One *shard* is a child process running the complete single-process
-service — its own :class:`~repro.serve.app.RATApp`, micro-batcher and
-compiled :class:`~repro.core.plan.PredictionPlan` — sharing the
-cluster's TCP port.  Two sharing strategies:
+service — its own :class:`~repro.serve.app.RATApp` and micro-batcher —
+sharing the cluster's TCP port.  Two sharing strategies:
 
 ``SO_REUSEPORT`` (preferred)
     Every shard binds its own listening socket with ``SO_REUSEPORT``;

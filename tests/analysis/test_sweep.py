@@ -179,3 +179,56 @@ class TestCrossoverEdgeCases:
             None,
         )
         assert found == scan
+
+
+class TestConcurrentSweeps:
+    """Sweeps share no evaluation state between threads."""
+
+    CLOCKS = tuple(50e6 + 62.5e3 * i for i in range(4000))
+    REPEATS = 30
+
+    @staticmethod
+    def _fields(prediction):
+        return (
+            prediction.t_input, prediction.t_output, prediction.t_comm,
+            prediction.t_comp, prediction.t_rc, prediction.speedup,
+            prediction.util_comp, prediction.util_comm,
+        )
+
+    def test_two_threads_match_scalar_bitwise(self, pdf1d_rat, md_rat):
+        import sys
+        import threading
+
+        studies = {"pdf1d": pdf1d_rat, "md": md_rat}
+        expected = {
+            label: [
+                self._fields(predict(rat.with_clock_hz(clock)))
+                for clock in self.CLOCKS
+            ]
+            for label, rat in studies.items()
+        }
+        wrong = dict.fromkeys(studies, 0)
+        start = threading.Barrier(len(studies))
+
+        def run(label):
+            start.wait()
+            for _ in range(self.REPEATS):
+                result = sweep_clock(studies[label], self.CLOCKS)
+                got = [self._fields(p) for p in result.predictions]
+                if got != expected[label]:
+                    wrong[label] += 1
+
+        threads = [
+            threading.Thread(target=run, args=(label,)) for label in studies
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often mid-sweep
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == dict.fromkeys(studies, 0)

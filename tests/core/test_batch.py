@@ -1,16 +1,34 @@
 """Batch prediction engine tests: parity, round-tripping, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps import get_case_study, list_case_studies
 from repro.core.batch import BatchInput, batch_predict, mark_rows_valid
 from repro.core.buffering import BufferingMode
+from repro.core.params import fraction_violation
 from repro.core.throughput import predict
 from repro.errors import ParameterError
 from repro.obs import get_metrics
 
 from tests.conftest import rat_inputs
+
+COLUMNS = (
+    "elements_in", "elements_out", "bytes_per_element", "ideal_bandwidth",
+    "alpha_write", "alpha_read", "ops_per_element", "throughput_proc",
+    "clock_hz", "t_soft", "n_iterations",
+)
+
+RESULT_COLUMNS = (
+    "t_input", "t_output", "t_comm", "t_comp", "t_rc",
+    "speedup", "util_comp", "util_comm",
+)
+
+MODES = (BufferingMode.SINGLE, BufferingMode.DOUBLE)
 
 
 def _random_inputs(base, rng, n):
@@ -80,6 +98,30 @@ class TestBatchInput:
     def test_names_length_checked(self, simple_rat):
         with pytest.raises(ParameterError, match="names"):
             BatchInput.from_base(simple_rat, 3, names=("a",))
+
+    def test_validation_past_the_first_stacked_block(self, simple_rat):
+        # Large batches are checked a block of rows at a time; rows in
+        # later blocks are diagnosed the same as rows in the first.
+        from repro.core.batch import row_violations, valid_row_mask
+
+        n = 40_000
+        clock = np.full(n, 1e8)
+        alpha = np.full(n, 0.5)
+        clock[39_999] = -1.0
+        alpha[20_000] = 1.5
+        batch = BatchInput.from_base(
+            simple_rat, n, {"clock_hz": clock, "alpha_write": alpha},
+            check=False,
+        )
+        assert [(v.row, v.column) for v in row_violations(batch)] == [
+            (20_000, "alpha_write"), (39_999, "clock_hz"),
+        ]
+        assert np.flatnonzero(~valid_row_mask(batch)).tolist() == [
+            20_000, 39_999,
+        ]
+        # The first rule in table order (clock_hz) is raised, at its row.
+        with pytest.raises(ParameterError, match=r"clock_hz.*row 39999$"):
+            batch_predict(batch)
 
 
 class TestBatchPredictParity:
@@ -175,7 +217,7 @@ class TestBatchMetrics:
 
 
 class TestBroadcastMetadata:
-    """The trusted constant-column metadata compiled plans exploit."""
+    """The trusted constant-column metadata batch_predict folds."""
 
     def test_from_base_marks_everything_broadcast(self, simple_rat):
         batch = BatchInput.from_base(simple_rat, 10)
@@ -221,8 +263,8 @@ class TestBroadcastMetadata:
             BatchInput(**columns, broadcast=frozenset({"warp_drive"}))
 
     def test_broadcast_batch_predict_parity(self, simple_rat):
-        # batch_predict ignores the metadata entirely; a broadcast-rich
-        # batch and a plain batch with identical columns agree bitwise.
+        # Folding changes cost, never bits: a broadcast-rich batch and a
+        # plain batch with identical columns agree bitwise.
         rich = BatchInput.from_base(
             simple_rat, 50, {"clock_hz": np.linspace(5e7, 3e8, 50)}
         )
@@ -265,3 +307,145 @@ class TestMarkRowsValid:
         mark_rows_valid(batch)
         result = batch_predict(batch)  # no ParameterError raised
         assert len(result) == 3
+
+
+def unmarked(batch, *, check=True):
+    """The same columns with no broadcast marks: nothing is folded."""
+    return BatchInput(
+        **{name: getattr(batch, name).copy() for name in COLUMNS},
+        check=check,
+    )
+
+
+def assert_bitwise(result, reference, context=""):
+    for name in RESULT_COLUMNS:
+        assert np.array_equal(
+            getattr(result, name), getattr(reference, name)
+        ), f"{name} diverged {context}"
+
+
+def assert_marked_unmarked_scalar(batch, mode, context=""):
+    """Marked, unmarked and scalar evaluation agree bitwise on every row."""
+    assert batch.broadcast, "expected a broadcast-marked batch"
+    marked = batch_predict(batch, mode)
+    plain = unmarked(batch)
+    assert plain.broadcast == frozenset()
+    assert_bitwise(marked, batch_predict(plain, mode), context)
+    for i in range(len(batch)):
+        scalar = predict(batch.row(i), mode)
+        for name in RESULT_COLUMNS:
+            assert float(getattr(marked, name)[i]) == getattr(scalar, name), (
+                f"{name} row {i} diverged from scalar {context}"
+            )
+
+
+def space_batch(base, n, seed=7, *, alphas=True):
+    """A from_base batch sweeping the clock (and both alphas) over ``base``."""
+    rng = np.random.default_rng(seed)
+    overrides = {"clock_hz": rng.uniform(50e6, 300e6, n)}
+    if alphas:
+        overrides["alpha_write"] = rng.uniform(0.1, 0.95, n)
+        overrides["alpha_read"] = rng.uniform(0.1, 0.95, n)
+    return BatchInput.from_base(base, n, overrides)
+
+
+class TestBroadcastFolding:
+    """batch_predict folds broadcast columns without changing a bit."""
+
+    @pytest.mark.parametrize("name", list_case_studies())
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_registry_worksheet(self, name, mode):
+        base = get_case_study(name).rat
+        # Clock-only: Eqs (2)-(3) fold to scalars; with alphas they stream.
+        for alphas in (False, True):
+            assert_marked_unmarked_scalar(
+                space_batch(base, 500, alphas=alphas), mode,
+                f"({name}, {mode.value}, alphas={alphas})",
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(inputs=st.lists(rat_inputs(), min_size=1, max_size=8),
+           mode=st.sampled_from(MODES))
+    def test_property_parity_on_random_worksheets(self, inputs, mode):
+        # Every column but the clock and alpha_read broadcasts from the
+        # first worksheet; those two vary across the drawn worksheets.
+        batch = BatchInput.from_base(inputs[0], len(inputs), {
+            "clock_hz": [r.computation.clock_hz for r in inputs],
+            "alpha_read": [r.communication.alpha_read for r in inputs],
+        })
+        assert_marked_unmarked_scalar(batch, mode)
+        rows = batch_predict(BatchInput.from_inputs(inputs), mode)
+        for i, rat in enumerate(inputs):
+            scalar = predict(rat, mode)
+            for name in RESULT_COLUMNS:
+                assert float(getattr(rows, name)[i]) == getattr(scalar, name)
+
+    def test_zero_output_rows(self, pdf1d_rat):
+        # elements_out == 0 rows take the zero-cost output branch while
+        # the other columns stay broadcast.
+        batch = space_batch(pdf1d_rat, 500)
+        columns = {name: getattr(batch, name).copy() for name in COLUMNS}
+        columns["elements_out"][::3] = 0.0
+        mixed = BatchInput(
+            **columns, broadcast=batch.broadcast - {"elements_out"}
+        )
+        result = batch_predict(mixed)
+        assert np.all(result.t_output[::3] == 0.0)
+        assert_marked_unmarked_scalar(mixed, BufferingMode.SINGLE)
+
+    def test_all_outputs_zero_broadcast(self, simple_rat):
+        # A broadcast elements_out of exactly 0 must still zero the
+        # whole t_output column, like the scalar path's short-circuit.
+        base = dataclasses.replace(
+            simple_rat,
+            dataset=dataclasses.replace(simple_rat.dataset, elements_out=0),
+        )
+        batch = BatchInput.from_base(
+            base, 100, {"clock_hz": np.linspace(5e7, 3e8, 100)}
+        )
+        result = batch_predict(batch)
+        assert np.all(result.t_output == 0.0)
+        for mode in MODES:
+            assert_marked_unmarked_scalar(batch, mode)
+
+    def test_fully_broadcast_batch(self, md_rat):
+        # Every operand folds: each result is one value, filled per row.
+        batch = BatchInput.from_base(md_rat, 7)
+        for mode in MODES:
+            assert_marked_unmarked_scalar(batch, mode)
+
+    def test_unchecked_batch_raises_identical_diagnostic(self, pdf1d_rat):
+        batch = space_batch(pdf1d_rat, 8)
+        columns = {name: getattr(batch, name).copy() for name in COLUMNS}
+        columns["alpha_write"][3] = 1.7
+        bad = BatchInput(**columns, broadcast=batch.broadcast, check=False)
+        with pytest.raises(ParameterError) as marked_error:
+            batch_predict(bad)
+        with pytest.raises(ParameterError) as plain_error:
+            batch_predict(unmarked(bad, check=False))
+        expected = f"{fraction_violation('alpha_write', 1.7)} at row 3"
+        assert str(marked_error.value) == expected
+        assert str(plain_error.value) == expected
+
+    def test_results_are_caller_owned(self, pdf1d_rat):
+        # Fresh, unaliased columns: no view of an input or another result.
+        for batch in (space_batch(pdf1d_rat, 64, alphas=False),
+                      unmarked(space_batch(pdf1d_rat, 64))):
+            result = batch_predict(batch)
+            columns = [getattr(result, name) for name in RESULT_COLUMNS]
+            assert all(column.flags.owndata for column in columns)
+            assert len({id(column) for column in columns}) == len(columns)
+            again = batch_predict(batch)
+            for column in columns:
+                column[:] = -1.0
+            assert_bitwise(batch_predict(batch), again)
+
+    def test_empty_broadcast_batch(self, pdf1d_rat):
+        # take() keeps broadcast marks; zero rows have nothing to read.
+        batch = BatchInput.from_base(pdf1d_rat, 4)
+        empty = batch.take(np.array([], dtype=np.intp))
+        assert empty.broadcast == batch.broadcast
+        result = batch_predict(empty)
+        assert all(
+            getattr(result, name).shape == (0,) for name in RESULT_COLUMNS
+        )

@@ -246,23 +246,8 @@ class TestMapDesignsFaults:
             )
 
 
-class TestPlanReuse:
-    def test_serial_explore_compiles_once_per_worksheet(self, pdf1d_rat):
-        from repro.core.plan import shared_plan
-
-        space = DesignSpace.grid(
-            pdf1d_rat, clock_hz=tuple(np.linspace(5e7, 3e8, 64))
-        )
-        # Prime the process-wide cache, then repeated explores (each
-        # evaluating many chunks) must never compile another plan.
-        shared_plan(space.base)
-        compiles = get_metrics().counter("plan.compiles")
-        before = compiles.value
-        for _ in range(3):
-            explore(space, chunk_size=8)
-        assert compiles.value == before
-
-    def test_plan_path_matches_scalar_rows(self, pdf1d_rat):
+class TestChunkedParity:
+    def test_chunked_path_matches_scalar_rows(self, pdf1d_rat):
         clocks = tuple(np.linspace(5e7, 3e8, 17))
         space = DesignSpace.grid(pdf1d_rat, clock_hz=clocks)
         result = explore(space, chunk_size=5)
@@ -271,8 +256,8 @@ class TestPlanReuse:
             assert float(result.prediction.speedup[i]) == expected.speedup
 
     def test_chunk_columns_survive_across_chunks(self, pdf1d_rat):
-        # Plan results are copied out of the plan's buffers per chunk;
-        # a later chunk must not clobber an earlier chunk's rows.
+        # Each chunk's result columns are its own; a later chunk must
+        # not clobber an earlier chunk's rows.
         space = DesignSpace.grid(
             pdf1d_rat, clock_hz=tuple(np.linspace(5e7, 3e8, 40))
         )

@@ -180,9 +180,9 @@ class TestCompare:
         assert "FAIL: 1 regression(s)" in bad.render()
 
     def test_per_metric_tolerance_overrides_threshold(self):
-        # A multi-modal metric (e.g. the plan speedup ratio) carries a
-        # wide tolerance: a -50% swing stays ok, but a regression past
-        # its own tolerance still trips even at a loose global threshold.
+        # A multi-modal metric carries a wide tolerance: a -50% swing
+        # stays ok, but a regression past its own tolerance still trips
+        # even at a loose global threshold.
         wide = (RatchetMetric("bimodal", "higher", "ratio", tolerance=0.55),)
         base = make_manifest({"bimodal": 2.7})
         swing = make_manifest({"bimodal": 1.35})  # -50%: within tolerance
@@ -224,15 +224,15 @@ class TestRenderHistory:
     def test_missing_metric_shows_dash_and_new(self, tmp_path):
         self._record(tmp_path, 1, {})
         self._record(
-            tmp_path, 2, {"bench.plan.1000000.plan_speedup_ratio": 2.5}
+            tmp_path, 2, {"bench.batch_predict.1000000.fold_ratio": 1.3}
         )
         lines = render_history(tmp_path).splitlines()
-        (plan_row,) = [
+        (fold_row,) = [
             line for line in lines
-            if line.startswith("bench.plan.1000000.plan_speedup_ratio")
+            if line.startswith("bench.batch_predict.1000000.fold_ratio")
         ]
-        assert "-" in plan_row
-        assert plan_row.rstrip().endswith("new")
+        assert "-" in fold_row
+        assert fold_row.rstrip().endswith("new")
 
     def test_lower_is_better_trend_sign(self, tmp_path):
         self._record(tmp_path, 1, {"serve.http_c64_p99_us": 10000.0})

@@ -1,8 +1,8 @@
 """End-to-end cluster tests with real shard processes.
 
 Unlike ``test_supervisor.py`` (stub children, protocol mechanics),
-these boot genuine shards — full ``RATApp`` + micro-batcher + compiled
-plan per process — and talk to them over real sockets: port sharing,
+these boot genuine shards — a full ``RATApp`` + micro-batcher per
+process — and talk to them over real sockets: port sharing,
 cross-shard bitwise parity, the torn-read contract when a shard dies
 mid-connection, and the CLI signal behaviour (SIGINT == SIGTERM).
 """
