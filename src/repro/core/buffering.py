@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from ..errors import ParameterError
 
@@ -32,6 +34,8 @@ __all__ = [
     "BufferingMode",
     "TimelineSegment",
     "OverlapTimeline",
+    "check_lane",
+    "segment_label",
     "single_buffered_timeline",
     "double_buffered_timeline",
     "build_timeline",
@@ -77,7 +81,39 @@ class TimelineSegment:
     @property
     def label(self) -> str:
         """Figure-2 style label, e.g. ``"R3"`` or ``"C1"``."""
-        return f"{self.kind[0].upper()}{self.iteration}"
+        return segment_label(self.kind, self.iteration)
+
+
+def segment_label(kind: str, iteration: int) -> str:
+    """Figure-2 style label of a ``kind`` segment, e.g. ``"R3"``."""
+    return f"{kind[0].upper()}{iteration}"
+
+
+def check_lane(
+    lane: str,
+    starts: Sequence[float],
+    ends: Sequence[float],
+    label: Callable[[int], str],
+) -> None:
+    """Reject overlapping intervals on one serial lane.
+
+    Intervals are ordered by ``(start, end)``, ties kept in the given
+    order, and each must start no earlier than its predecessor ends (to
+    1e-15 s).  ``label(i)`` names interval ``i`` in the error.
+    """
+    if len(starts) < 2:
+        return
+    start = np.asarray(starts, dtype=float)
+    end = np.asarray(ends, dtype=float)
+    order = np.lexsort((end, start))  # stable: ties keep the given order
+    bad = np.flatnonzero(start[order[1:]] < end[order[:-1]] - 1e-15)
+    if bad.size:
+        before, after = int(order[bad[0]]), int(order[bad[0] + 1])
+        raise ParameterError(
+            f"{lane} lane overlaps: {label(before)} "
+            f"[{starts[before]}, {ends[before]}) vs {label(after)} "
+            f"[{starts[after]}, {ends[after]})"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,17 +133,13 @@ class OverlapTimeline:
         # Within a lane, segments must not overlap: each lane is a single
         # serial resource (one channel, one functional unit).
         for lane in ("comm", "comp"):
-            lane_segments = sorted(
-                (s for s in self.segments if s.lane == lane),
-                key=lambda s: (s.start, s.end),
+            segments = [s for s in self.segments if s.lane == lane]
+            check_lane(
+                lane,
+                [s.start for s in segments],
+                [s.end for s in segments],
+                lambda i: segments[i].label,
             )
-            for before, after in zip(lane_segments, lane_segments[1:]):
-                if after.start < before.end - 1e-15:
-                    raise ParameterError(
-                        f"{lane} lane overlaps: {before.label} "
-                        f"[{before.start}, {before.end}) vs {after.label} "
-                        f"[{after.start}, {after.end})"
-                    )
 
     def makespan(self) -> float:
         """Total wall-clock span of the schedule."""

@@ -12,6 +12,8 @@ per-transfer protocol overhead and jitter that separate "actual" from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import sub
 
 from ..errors import SimulationError
 from ..interconnect.bus import BusModel
@@ -54,13 +56,23 @@ class DMAEngine:
     full-duplex links (HyperTransport) serialise per direction only, so a
     result write-back can overlap the next input read.  ``duplex``
     defaults from the bus's interconnect spec.
+
+    Transfers are stored as parallel columns (``iterations``,
+    ``directions``, ``nbytes``, ``requests``, ``starts``, ``ends``) in
+    issue order; :attr:`transfers` builds :class:`DMATransfer` rows from
+    them on demand.
     """
 
     bus: BusModel
     duplex: bool | None = None
     channel_free: float = 0.0
     _direction_free: dict = field(default_factory=lambda: {"read": 0.0, "write": 0.0})
-    transfers: list[DMATransfer] = field(default_factory=list)
+    iterations: list[int] = field(default_factory=list, init=False, repr=False)
+    directions: list[str] = field(default_factory=list, init=False, repr=False)
+    nbytes: list[float] = field(default_factory=list, init=False, repr=False)
+    requests: list[float] = field(default_factory=list, init=False, repr=False)
+    starts: list[float] = field(default_factory=list, init=False, repr=False)
+    ends: list[float] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.duplex is None:
@@ -74,45 +86,80 @@ class DMAEngine:
         The simulation's event loop drives time; the engine only does the
         arithmetic of serialising on the channel.
         """
+        self.issue_train(iteration, direction, nbytes, request_time, 1)
+        return self._row(len(self.ends) - 1)
+
+    def issue_train(
+        self,
+        iteration: int,
+        direction: str,
+        nbytes: float,
+        request_time: float,
+        count: int,
+    ) -> float:
+        """Issue ``count`` equal back-to-back transfers; returns the last end.
+
+        Bitwise the same schedule as ``count`` :meth:`issue` calls at the
+        same request time: the first transfer starts at
+        ``max(request_time, channel_free)`` and each later one when its
+        predecessor ends (which is never before ``request_time``).
+        """
         if direction not in ("read", "write"):
             raise SimulationError(f"unknown DMA direction {direction!r}")
         if request_time < 0:
             raise SimulationError(f"request_time must be >= 0, got {request_time}")
         # FPGA-perspective read = host-perspective write (input data moves
         # host->FPGA at the write rate), and vice versa.
-        host_read = direction == "write"
-        duration = self.bus.transfer_time(nbytes, read=host_read)
+        durations = self.bus.train_times(nbytes, count, read=direction == "write")
         free = self._direction_free[direction] if self.duplex else self.channel_free
         start = max(request_time, free)
-        transfer = DMATransfer(
-            iteration=iteration,
-            direction=direction,
-            nbytes=nbytes,
-            request_time=request_time,
-            start_time=start,
-            end_time=start + duration,
-        )
+        # accumulate adds left to right, exactly like ``end = start + d``
+        # applied transfer by transfer.
+        edges = list(accumulate(durations, initial=start))
+        end = edges[-1]
         if self.duplex:
-            self._direction_free[direction] = transfer.end_time
+            self._direction_free[direction] = end
         else:
-            self.channel_free = transfer.end_time
-        self.transfers.append(transfer)
-        return transfer
+            self.channel_free = end
+        self.iterations.extend([iteration] * count)
+        self.directions.extend([direction] * count)
+        self.nbytes.extend([nbytes] * count)
+        self.requests.extend([request_time] * count)
+        self.starts.extend(edges[:-1])
+        self.ends.extend(edges[1:])
+        return end
+
+    def _row(self, index: int) -> DMATransfer:
+        return DMATransfer(
+            iteration=self.iterations[index],
+            direction=self.directions[index],
+            nbytes=self.nbytes[index],
+            request_time=self.requests[index],
+            start_time=self.starts[index],
+            end_time=self.ends[index],
+        )
+
+    @property
+    def transfers(self) -> list[DMATransfer]:
+        """All transfers as rows, in issue order."""
+        return [self._row(index) for index in range(len(self.ends))]
+
+    def _durations(self, direction: str | None) -> list[float]:
+        if direction is None:
+            return list(map(sub, self.ends, self.starts))
+        return [
+            end - start
+            for start, end, kind in zip(self.starts, self.ends, self.directions)
+            if kind == direction
+        ]
 
     def busy_time(self, direction: str | None = None) -> float:
         """Total channel occupancy, optionally per direction."""
-        return sum(
-            t.duration
-            for t in self.transfers
-            if direction is None or t.direction == direction
-        )
+        return sum(self._durations(direction))
 
     def mean_duration(self, direction: str | None = None) -> float:
         """Mean transfer duration, optionally per direction."""
-        matching = [
-            t for t in self.transfers
-            if direction is None or t.direction == direction
-        ]
-        if not matching:
+        durations = self._durations(direction)
+        if not durations:
             raise SimulationError("no matching transfers recorded")
-        return sum(t.duration for t in matching) / len(matching)
+        return sum(durations) / len(durations)

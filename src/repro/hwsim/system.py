@@ -22,19 +22,25 @@ Output policies mirror the case studies:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Literal
+from functools import cached_property
+from typing import Callable, Literal
 
 from ..errors import SimulationError
 from ..interconnect.bus import BusModel
 from ..obs.simtrace import TRACK_EVENTS, SimTrace, record_system_run
 from .clock import ClockDomain
-from .dma import DMAEngine, DMATransfer
+from .dma import DMAEngine
 from .engine import EventQueue
 from .kernel import PipelinedKernel
 from .memory import BufferPool
-from ..core.buffering import BufferingMode, OverlapTimeline, TimelineSegment
+from ..core.buffering import (
+    BufferingMode,
+    OverlapTimeline,
+    TimelineSegment,
+    check_lane,
+    segment_label,
+)
 
 __all__ = ["RCSystemSim", "SimulationResult"]
 
@@ -50,7 +56,8 @@ class SimulationResult:
     ``t_rc`` is the wall-clock makespan, which exceeds
     ``n_iter * (t_comm + t_comp)`` when per-transfer overheads desynchronise
     the loop (the paper's 1-D PDF measured exactly this: total time above
-    the sum of its parts).
+    the sum of its parts).  ``timeline`` is built from the run's transfer
+    columns on first access; nothing in the reproduction path reads it.
     """
 
     clock_mhz: float
@@ -63,7 +70,12 @@ class SimulationResult:
     t_comp_per_iteration: float
     input_transfers: int
     output_transfers: int
-    timeline: OverlapTimeline
+    build_timeline: Callable[[], OverlapTimeline] = field(repr=False, compare=False)
+
+    @cached_property
+    def timeline(self) -> OverlapTimeline:
+        """The realised two-lane schedule, built on first access."""
+        return self.build_timeline()
 
     @property
     def util_comp(self) -> float:
@@ -190,18 +202,22 @@ class RCSystemSim:
         """Input transfer size per iteration."""
         return self.elements_per_block * self.bytes_per_element
 
-    def _output_chunks(self, nbytes: float) -> list[float]:
-        """Split an output transfer into chunk-limited pieces."""
+    def _output_chunks(self, nbytes: float) -> tuple[float, int, float]:
+        """Split an output transfer into ``(chunk_bytes, count, remainder)``.
+
+        ``count`` full chunks of ``chunk_bytes`` go first, then one
+        ``remainder``-byte chunk when ``remainder > 0``.
+        """
         if nbytes <= 0:
-            return []
+            return 0.0, 0, 0.0
         if self.output_chunk_bytes is None or nbytes <= self.output_chunk_bytes:
-            return [nbytes]
+            return nbytes, 1, 0.0
         n_full = int(nbytes // self.output_chunk_bytes)
-        chunks = [self.output_chunk_bytes] * n_full
-        remainder = nbytes - n_full * self.output_chunk_bytes
-        if remainder > 0:
-            chunks.append(remainder)
-        return chunks
+        return (
+            self.output_chunk_bytes,
+            n_full,
+            nbytes - n_full * self.output_chunk_bytes,
+        )
 
     def run(self) -> SimulationResult:
         """Execute the full loop and aggregate measurements."""
@@ -244,8 +260,8 @@ class RCSystemSim:
             state["next_read"] += 1
             state["read_in_flight"] = True
             pool.acquire_free(iteration, self.input_bytes_per_block)
-            transfer = dma.issue(
-                iteration, "read", self.input_bytes_per_block, queue.now
+            end = dma.issue_train(
+                iteration, "read", self.input_bytes_per_block, queue.now, 1
             )
 
             def on_read_done(iteration: int = iteration) -> None:
@@ -257,7 +273,7 @@ class RCSystemSim:
                 # thread prepared it during the previous transfer).
                 try_issue_read()
 
-            queue.schedule_at(transfer.end_time, on_read_done, f"R{iteration}")
+            queue.schedule_at(end, on_read_done, f"R{iteration}")
 
         def schedule_read() -> None:
             # Reads triggered by an iteration *completing* pay the host
@@ -293,14 +309,25 @@ class RCSystemSim:
 
             queue.schedule_at(start + duration, on_compute_done, f"C{iteration}")
 
+        chunk, n_chunks, remainder = self._output_chunks(
+            self.output_bytes_per_block
+        )
+
         def issue_output(iteration: int) -> None:
-            for chunk in self._output_chunks(self.output_bytes_per_block):
-                dma.issue(iteration, "write", chunk, queue.now)
+            if n_chunks:
+                dma.issue_train(iteration, "write", chunk, queue.now, n_chunks)
+            if remainder > 0:
+                dma.issue_train(iteration, "write", remainder, queue.now, 1)
             # Output completions need no callback: nothing downstream
             # waits on them; the makespan accounts for them below.
 
         try_issue_read()
         queue.run()
+        # The callbacks reach themselves (and the DMA columns) through
+        # closure cells.  Clearing the two self-referencing ones frees the
+        # run by reference counting; float columns do not advance the
+        # cyclic collector, so left alone they would pile up across runs.
+        del try_issue_read, try_start_compute
 
         if state["computed"] != self.n_iterations:
             raise SimulationError(
@@ -308,30 +335,53 @@ class RCSystemSim:
                 f"{self.n_iterations} iterations"
             )
 
-        input_transfers = [t for t in dma.transfers if t.direction == "read"]
-        output_transfers = [t for t in dma.transfers if t.direction == "write"]
         t_comm_total = dma.busy_time()
         t_comp_total = sum(s.duration for s in compute_segments)
         last_compute = max(s.end for s in compute_segments)
-        last_transfer = max((t.end_time for t in dma.transfers), default=0.0)
+        last_transfer = max(dma.ends, default=0.0)
         t_rc = max(last_compute, last_transfer)
 
-        comm_segments = [
-            TimelineSegment(
-                "comm",
-                "read" if t.direction == "read" else "write",
-                t.iteration,
-                t.start_time,
-                t.end_time,
-            )
-            for t in dma.transfers
-            # Duplex engines overlap directions; the two-lane timeline
-            # renders reads only in that case to keep lanes overlap-free.
-            if not (dma.duplex and t.direction == "write")
-        ]
-        timeline = OverlapTimeline(
-            mode=self.mode, segments=tuple(comm_segments + compute_segments)
+        # Duplex engines overlap directions; the two-lane timeline renders
+        # reads only in that case to keep lanes overlap-free.  The lane
+        # rules are checked here, on every run, not when the lazy timeline
+        # is first built.
+        if dma.duplex:
+            comm = [i for i, kind in enumerate(dma.directions) if kind == "read"]
+            starts = [dma.starts[i] for i in comm]
+            ends = [dma.ends[i] for i in comm]
+        else:
+            comm = range(len(dma.ends))
+            starts, ends = dma.starts, dma.ends
+        check_lane(
+            "comm",
+            starts,
+            ends,
+            lambda k: segment_label(
+                dma.directions[comm[k]], dma.iterations[comm[k]]
+            ),
         )
+        check_lane(
+            "comp",
+            [s.start for s in compute_segments],
+            [s.end for s in compute_segments],
+            lambda k: compute_segments[k].label,
+        )
+
+        def build_timeline() -> OverlapTimeline:
+            comm_segments = [
+                TimelineSegment(
+                    "comm",
+                    dma.directions[i],
+                    dma.iterations[i],
+                    dma.starts[i],
+                    dma.ends[i],
+                )
+                for i in comm
+            ]
+            return OverlapTimeline(
+                mode=self.mode, segments=tuple(comm_segments + compute_segments)
+            )
+
         if self.trace is not None:
             # Full-fidelity lanes: every transfer on its directional
             # track (including duplexed write-backs the two-lane
@@ -349,7 +399,7 @@ class RCSystemSim:
             t_comp_total=t_comp_total,
             t_comm_per_iteration=t_comm_total / self.n_iterations,
             t_comp_per_iteration=t_comp_total / self.n_iterations,
-            input_transfers=len(input_transfers),
-            output_transfers=len(output_transfers),
-            timeline=timeline,
+            input_transfers=dma.directions.count("read"),
+            output_transfers=dma.directions.count("write"),
+            build_timeline=build_timeline,
         )

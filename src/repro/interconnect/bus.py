@@ -76,26 +76,47 @@ class BusModel:
         ``microbenchmark=True`` models the pinned-buffer timing loop used
         to measure alphas: wire time only, no protocol overhead or jitter.
         """
+        return self.train_times(
+            nbytes, 1, read=read, microbenchmark=microbenchmark
+        )[0]
+
+    def train_times(
+        self,
+        nbytes: float,
+        count: int,
+        *,
+        read: bool = False,
+        microbenchmark: bool = False,
+    ) -> list[float]:
+        """Time a train of ``count`` equal transfers; one total per transfer.
+
+        Each transfer gets the same arithmetic and jitter index as a
+        :meth:`transfer_time` call in its place: the wire time is computed
+        once per train, the jitter multiplier once per transfer, and both
+        the wire time and the protocol overhead are scaled by it.
+        """
         if nbytes <= 0:
             raise ParameterError(f"nbytes must be positive, got {nbytes}")
+        if count < 1:
+            raise ParameterError(f"count must be >= 1, got {count}")
         wire = self.spec.transfer_time(nbytes, read=read)
+        first = self._index
+        self._index += count
         if microbenchmark:
-            overhead = 0.0
+            wire_times = [wire] * count
+            overheads = [0.0] * count
         else:
-            overhead = self.profile.overhead(self._index, nbytes)
-            jitter = self.profile.jitter_multiplier(self._index, nbytes)
-            wire = wire * jitter
-        record = TransferRecord(
-            index=self._index,
-            direction="read" if read else "write",
-            nbytes=nbytes,
-            wire_time=wire,
-            overhead=overhead,
-        )
-        self._index += 1
+            base = self.profile.per_transfer_overhead_s
+            jitters = self.profile.jitter_multipliers(first, count, nbytes)
+            wire_times = [wire * j for j in jitters]
+            overheads = [base * j for j in jitters]
         if self.record_transfers:
-            self._records.append(record)
-        return record.total_time
+            direction = "read" if read else "write"
+            self._records.extend(
+                TransferRecord(first + k, direction, nbytes, w, o)
+                for k, (w, o) in enumerate(zip(wire_times, overheads))
+            )
+        return [w + o for w, o in zip(wire_times, overheads)]
 
     def duplex_transfer_time(
         self, write_bytes: float, read_bytes: float, *, microbenchmark: bool = False

@@ -64,8 +64,10 @@ class ProtocolProfile:
                 f"{self.name}: jitter_fraction must be in [0, 1)"
             )
 
-    def jitter_multiplier(self, transfer_index: int, transfer_bytes: float) -> float:
-        """Deterministic jitter factor for one transfer.
+    def jitter_multipliers(
+        self, first_index: int, count: int, transfer_bytes: float
+    ) -> list[float]:
+        """Deterministic jitter factors for ``count`` consecutive transfers.
 
         Small transfers get a multiplier in
         ``[1, 1 + jitter_fraction]`` derived from a hash of the transfer
@@ -73,10 +75,17 @@ class ProtocolProfile:
         are unaffected (their time is wire-dominated).
         """
         if transfer_bytes > self.small_transfer_threshold or self.jitter_fraction == 0:
-            return 1.0
+            return [1.0] * count
         # Weyl-sequence hash: uniform-ish in [0, 1), deterministic.
-        phase = math.modf(transfer_index * 0.6180339887498949)[0]
-        return 1.0 + self.jitter_fraction * phase
+        fraction = self.jitter_fraction
+        return [
+            1.0 + fraction * math.modf(index * 0.6180339887498949)[0]
+            for index in range(first_index, first_index + count)
+        ]
+
+    def jitter_multiplier(self, transfer_index: int, transfer_bytes: float) -> float:
+        """Deterministic jitter factor for one transfer."""
+        return self.jitter_multipliers(transfer_index, 1, transfer_bytes)[0]
 
     def overhead(self, transfer_index: int, transfer_bytes: float) -> float:
         """Total extra seconds charged to one application transfer."""

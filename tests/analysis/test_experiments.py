@@ -7,7 +7,9 @@ from repro.analysis.experiments import (
     list_experiments,
     run_experiment,
 )
+from repro.apps.registry import get_case_study
 from repro.errors import ExperimentError
+from repro.hwsim.system import RCSystemSim
 
 EXPECTED_IDS = [
     "table1", "table2", "table3", "table4", "table5", "table6", "table7",
@@ -80,3 +82,21 @@ class TestIndividualExperiments:
     def test_render_contains_title(self):
         result = run_experiment("fig3")
         assert "fig3" in result.render()
+
+
+class TestPerformanceExperimentSimulation:
+    def test_table6_simulates_once(self, monkeypatch):
+        runs = []
+        original = RCSystemSim.run
+
+        def counting_run(self):
+            runs.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RCSystemSim, "run", counting_run)
+        result = run_experiment("table6")
+        assert len(runs) == 1
+        monkeypatch.undo()
+        # Byte-identical to the table built around a fresh simulation.
+        fresh = get_case_study("pdf2d").performance_table_with_actual()
+        assert result.text == fresh.render()

@@ -8,15 +8,22 @@ With overheads enabled, the simulator reproduces the paper's measured
 discrepancies instead (tested in tests/apps/test_studies.py).
 """
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.buffering import BufferingMode
-from repro.errors import SimulationError
+from repro.apps.registry import get_case_study
+from repro.core.buffering import BufferingMode, TimelineSegment
+from repro.errors import ParameterError, SimulationError
+from repro.hwsim import system
 from repro.hwsim.clock import ClockDomain
+from repro.hwsim.dma import DMAEngine
 from repro.hwsim.kernel import PipelinedKernel
 from repro.hwsim.system import RCSystemSim
 from repro.interconnect.bus import BusModel
 from repro.interconnect.protocols import ProtocolProfile
+from repro.obs.simtrace import SimTrace
 from repro.platforms.interconnect import InterconnectSpec
 
 CLEAN_PROFILE = ProtocolProfile(name="clean")
@@ -242,3 +249,72 @@ class TestBufferDepth:
     def test_invalid_depth(self):
         with pytest.raises(SimulationError):
             make_sim(n_buffers=0)
+
+
+class TestColumnarRun:
+    """Burst trains and the lazy timeline keep the row-by-row schedule."""
+
+    @staticmethod
+    def capture_engines(monkeypatch):
+        engines = []
+
+        class Recording(DMAEngine):
+            def __post_init__(self):
+                super().__post_init__()
+                engines.append(self)
+
+        monkeypatch.setattr(system, "DMAEngine", Recording)
+        return engines
+
+    @pytest.mark.parametrize("study_name", ["pdf1d", "pdf2d", "md"])
+    def test_timeline_equals_per_transfer_segments(self, monkeypatch, study_name):
+        engines = self.capture_engines(monkeypatch)
+        result = get_case_study(study_name).simulate(150.0)
+        (dma,) = engines
+        # The row-by-row construction: one segment per DMATransfer,
+        # duplexed write-backs dropped, then the compute lane.
+        comm = [
+            TimelineSegment("comm", t.direction, t.iteration,
+                            t.start_time, t.end_time)
+            for t in dma.transfers
+            if not (dma.duplex and t.direction == "write")
+        ]
+        compute = [s for s in result.timeline.segments if s.lane == "comp"]
+        assert result.timeline.segments == tuple(comm + compute)
+        assert len(compute) == result.n_iterations
+        assert result.input_transfers + result.output_transfers == len(
+            dma.transfers
+        )
+
+    def test_run_is_freed_without_the_cycle_collector(self, monkeypatch):
+        engines = self.capture_engines(monkeypatch)
+        gc.disable()
+        try:
+            make_sim(output_chunk_bytes=512).run()
+            engine = weakref.ref(engines.pop())
+            assert engine() is None
+        finally:
+            gc.enable()
+
+    def test_overlapping_comm_lane_raises_at_run(self, monkeypatch):
+        class Forgetful(DMAEngine):
+            """Never remembers that the channel is busy."""
+
+            def issue_train(self, *args):
+                end = super().issue_train(*args)
+                self.channel_free = 0.0
+                return end
+
+        monkeypatch.setattr(system, "DMAEngine", Forgetful)
+        sim = make_sim(output_chunk_bytes=512)
+        with pytest.raises(ParameterError, match="comm lane overlaps: W1"):
+            sim.run()
+
+    def test_trace_records_every_pdf2d_transfer(self):
+        sim = get_case_study("pdf2d").simulator(150.0)
+        sim.trace = SimTrace()
+        result = sim.run()
+        complete = [e for e in sim.trace.events if e["ph"] == "X"]
+        # 400 iterations x (1 input read + 512 result bursts) + 400 computes.
+        assert result.input_transfers + result.output_transfers == 205_200
+        assert len(complete) == 205_200 + 400
