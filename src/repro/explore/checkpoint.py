@@ -4,25 +4,28 @@ A checkpointed :func:`~repro.explore.executor.explore` (or
 ``map_designs``) run appends one JSONL record per *completed chunk* to a
 journal file.  If the process is killed — Ctrl-C, OOM, a crashed worker
 taking the parent down — re-running with ``resume=True`` replays the
-completed chunks from the journal and only evaluates the rest.  Because
-Python's ``repr``-based JSON float serialization round-trips IEEE-754
-doubles exactly, a killed-then-resumed run produces *bitwise-identical*
-predictions to an uninterrupted one (pinned by
-``tests/explore/test_checkpoint.py``).
+completed chunks from the journal and only evaluates the rest.  An
+``explore`` chunk's eight result columns are journaled as their raw
+little-endian float64 bytes (base64), so a killed-then-resumed run
+produces *bitwise-identical* predictions to an uninterrupted one (pinned
+by ``tests/explore/test_checkpoint.py``); ``map_designs`` payloads are
+the evaluator's results as plain JSON.
 
 File format (one JSON object per line)::
 
-    {"kind": "header", "version": 1, "key": "<sha256>", "chunks": 16}
-    {"kind": "chunk", "index": 3, "payload": {...}}
+    {"key": "<sha256>", "kind": "header", "version": 2}
+    {"index": 3, "kind": "chunk", "payload": {"elapsed": 0.0012, "payload": "<base64>"}}
     ...
 
 The ``key`` is a content hash of everything that determines the chunk
-layout and the numbers: the base worksheet, the axis names and values,
-the buffering mode, the chunk size, and the failure policy.  Resuming
+layout and the numbers: the journal version, the base worksheet, the
+axis names and values, the buffering mode, the chunk size, and the
+failure policy.  A journal of another version raises
+:class:`~repro.errors.ExplorationError` naming the version; resuming
 against a journal whose key differs (the space changed, the chunk size
-changed) raises :class:`~repro.errors.ExplorationError` rather than
-silently mixing incompatible partial results.  A torn final line — the
-classic crash-mid-write artifact — is ignored on load.
+changed) raises rather than silently mixing incompatible partial
+results.  A torn final line — the classic crash-mid-write artifact — is
+ignored on load.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .space import DesignSpace
 
 __all__ = ["ChunkJournal", "JOURNAL_VERSION", "run_key"]
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 
 def run_key(
@@ -121,10 +124,11 @@ class ChunkJournal:
     def load(self) -> dict[int, Any]:
         """Completed ``{chunk_index: payload}`` records, or ``{}``.
 
-        A missing file is an empty (fresh) journal.  A journal written
-        for a different run key raises ``ExplorationError`` — resuming
-        it would splice numbers from a different space/mode/chunking
-        into this run.
+        A missing file is an empty (fresh) journal.  A journal of
+        another :data:`JOURNAL_VERSION`, or written for a different run
+        key, raises ``ExplorationError`` — resuming it would splice
+        numbers from a different format or space/mode/chunking into
+        this run.
         """
         if not os.path.exists(self.path):
             return {}
@@ -133,18 +137,20 @@ class ChunkJournal:
         for record in self._records():
             kind = record.get("kind")
             if kind == "header":
+                # Version first: run_key hashes the version, so a journal
+                # of another version would otherwise read as another run.
+                if record.get("version") != JOURNAL_VERSION:
+                    raise ExplorationError(
+                        f"checkpoint {self.path!r} has journal version "
+                        f"{record.get('version')!r}; this build reads "
+                        f"version {JOURNAL_VERSION}"
+                    )
                 if record.get("key") != self.key:
                     raise ExplorationError(
                         f"checkpoint {self.path!r} was written for a "
                         "different run (space, mode, chunking, or policy "
                         "changed); delete it or point --checkpoint at a "
                         "fresh path"
-                    )
-                if record.get("version") != JOURNAL_VERSION:
-                    raise ExplorationError(
-                        f"checkpoint {self.path!r} has journal version "
-                        f"{record.get('version')!r}; this build reads "
-                        f"version {JOURNAL_VERSION}"
                     )
                 saw_header = True
             elif kind == "chunk":

@@ -42,6 +42,8 @@ runs are no longer blind.  ``explore.points`` counts evaluated designs,
 
 from __future__ import annotations
 
+import base64
+import itertools
 import os
 import time
 from dataclasses import dataclass, replace
@@ -228,21 +230,44 @@ def _predict_chunk(
             deactivate(token)
 
 
-#: Per-process map_designs state, seeded by :func:`_map_worker_init` so
-#: the (potentially large) design space and evaluator pickle into each
-#: worker once at pool start instead of once per chunk task.
-_MAP_STATE: tuple[DesignSpace, Callable] | None = None
+#: Per-run chunk evaluators, keyed by run.  A run registers its
+#: evaluator before dispatch and removes it when it ends, so concurrent
+#: runs in threads (serve's ``/v1/explore`` runs explore in a worker
+#: thread) never see each other's state and nothing outlives its run.
+#: Pool workers get their run's entry through the pool initializer —
+#: fork-inherited on Linux, so the evaluated batch or design space is
+#: never pickled — and pool tasks are bare ``(lo, hi)`` bounds.
+_RUNS: dict[int, Callable[[tuple[int, int]], tuple[float, Any]]] = {}
+_RUN_KEYS = itertools.count()
 
 
-def _map_worker_init(space: DesignSpace, evaluator: Callable) -> None:
-    global _MAP_STATE
-    _MAP_STATE = (space, evaluator)
+def _install_run(
+    key: int, evaluate: Callable[[tuple[int, int]], tuple[float, Any]]
+) -> None:
+    """Pool initializer: register one run's chunk evaluator."""
+    _RUNS[key] = evaluate
 
 
-def _map_chunk(bounds: tuple[int, int]) -> tuple[float, list[Any]]:
-    """Worker-side map_designs chunk: evaluate designs ``lo..hi``."""
-    assert _MAP_STATE is not None, "worker initializer did not run"
-    space, evaluator = _MAP_STATE
+def _run_chunk(key: int, bounds: tuple[int, int]) -> tuple[float, Any]:
+    """The task function of every chunked run: evaluate rows ``lo..hi``."""
+    return _RUNS[key](bounds)
+
+
+def _explore_chunk(
+    batch: BatchInput,
+    mode: BufferingMode,
+    chunk_fn: Callable,
+    bounds: tuple[int, int],
+) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Explore's chunk evaluator: ``chunk_fn`` over one batch slice."""
+    lo, hi = bounds
+    return chunk_fn(batch[lo:hi], mode)
+
+
+def _map_chunk(
+    space: DesignSpace, evaluator: Callable, bounds: tuple[int, int]
+) -> tuple[float, list[Any]]:
+    """map_designs' chunk evaluator: ``evaluator`` over designs ``lo..hi``."""
     lo, hi = bounds
     started = time.perf_counter()
     results = [evaluator(space.design(i)) for i in range(lo, hi)]
@@ -290,19 +315,23 @@ class _ChunkedRun:
     run has not already completed, journals fresh completions, emits
     parent-side chunk observability, and translates engine failure
     records (indexed by *task position*) back to chunk indices/bounds.
+    ``keep(index, value)`` is what a chunk's slot (and the engine's
+    report) holds of its value.
     """
 
     def __init__(
         self,
         bounds: list[tuple[int, int]],
         journal: ChunkJournal | None,
-        decode: Callable[[Any], Any],
+        decode: Callable[[int, int, Any], Any],
         encode: Callable[[Any], Any],
+        keep: Callable[[int, Any], Any] = lambda index, value: value,
     ) -> None:
         self.bounds = bounds
         self.journal = journal
         self.decode = decode
         self.encode = encode
+        self.keep = keep
         self.slots: list[Any] = [None] * len(bounds)
         self.todo: list[int] = list(range(len(bounds)))
         self.resumed = 0
@@ -311,11 +340,20 @@ class _ChunkedRun:
         """Fill slots from a resumed journal's completed payloads."""
         for index, payload in completed.items():
             if 0 <= index < len(self.bounds):
-                self.slots[index] = self.decode(payload)
+                lo, hi = self.bounds[index]
+                self.slots[index] = self.keep(
+                    index, self.decode(index, hi - lo, payload)
+                )
                 self.resumed += 1
         self.todo = [i for i in range(len(self.bounds)) if self.slots[i] is None]
         if self.resumed:
             get_metrics().counter("explore.resumed_chunks").inc(self.resumed)
+
+    def _keep(
+        self, position: int, result: tuple[float, Any]
+    ) -> tuple[float, Any]:
+        elapsed, value = result
+        return elapsed, self.keep(self.todo[position], value)
 
     def _on_result(self, position: int, result: tuple[float, Any]) -> None:
         index = self.todo[position]
@@ -339,26 +377,34 @@ class _ChunkedRun:
 
     def run(
         self,
-        tasks: Sequence[Any],
-        fn: Callable[[Any], Any],
+        evaluate: Callable[[tuple[int, int]], tuple[float, Any]],
         *,
         workers: int,
         policy: RetryPolicy,
         on_error: str,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
     ) -> tuple[tuple[ChunkFailure, ...], int, bool]:
-        """Execute outstanding chunks; returns (failures, retries, degraded)."""
+        """Execute outstanding chunks; returns (failures, retries, degraded).
+
+        ``evaluate`` maps one chunk's ``(lo, hi)`` bounds to
+        ``(elapsed_s, value)``; it is registered for this run only and
+        the tasks shipped to pool workers are the bounds alone.
+        """
+        tasks = [self.bounds[i] for i in self.todo]
+        key = next(_RUN_KEYS)
+        # The parent needs the entry too: the serial path and pool
+        # degradation both evaluate chunks in-process.
+        _install_run(key, evaluate)
         try:
             report = run_chunks(
                 tasks,
-                fn,
+                partial(_run_chunk, key),
                 workers=workers,
                 policy=policy,
                 on_error=on_error,
                 on_result=self._on_result,
-                initializer=initializer,
-                initargs=initargs,
+                keep=self._keep,
+                initializer=_install_run,
+                initargs=(key, evaluate),
             )
         except ExplorationError as exc:
             chunk_failures = self._remap(exc.chunk_failures)
@@ -367,6 +413,8 @@ class _ChunkedRun:
             raise ExplorationError(
                 str(exc), chunk_failures=chunk_failures, partial=exc.partial
             ) from exc
+        finally:
+            del _RUNS[key]
         chunk_failures = self._remap(report.failures)
         for failure in chunk_failures:
             _emit_chunk_failure_span(failure)
@@ -393,14 +441,56 @@ def _open_journal(
     return journal, completed
 
 
-def _encode_columns(columns: tuple[np.ndarray, ...]) -> list[list[float]]:
-    return [column.tolist() for column in columns]
+def _store_columns(
+    columns: tuple[np.ndarray, ...],
+    bounds: Sequence[tuple[int, int]],
+    index: int,
+    value: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, ...]:
+    """Copy chunk ``index``'s result columns into the run's columns.
+
+    Returns the chunk's views of them.  Each chunk's own arrays are
+    freed as soon as they are copied, so a run never holds every
+    chunk's columns next to the assembled ones (on the pool path those
+    arrays are unpickled on the executor's thread, whose allocator
+    arena would otherwise keep them resident).
+    """
+    lo, hi = bounds[index]
+    for out, column in zip(columns, value):
+        out[lo:hi] = column
+    return tuple(out[lo:hi] for out in columns)
 
 
-def _decode_columns(payload: dict) -> tuple[np.ndarray, ...]:
+def _encode_columns(columns: tuple[np.ndarray, ...]) -> str:
+    """One chunk's result columns as base64 of their raw ``<f8`` bytes."""
+    raw = np.concatenate(columns).astype("<f8", copy=False).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_columns(
+    index: int, rows: int, payload: dict
+) -> tuple[np.ndarray, ...]:
+    """Inverse of :func:`_encode_columns`: fresh, writable float64 columns.
+
+    A payload that is not base64, or whose byte count does not match
+    the chunk's ``rows``, raises ``ExplorationError`` naming the chunk.
+    """
+    try:
+        raw = base64.b64decode(payload["payload"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ExplorationError(
+            f"checkpoint chunk {index} is corrupt: {exc}"
+        ) from exc
+    width = len(_RESULT_FIELDS)
+    if len(raw) != 8 * width * rows:
+        raise ExplorationError(
+            f"checkpoint chunk {index} is corrupt: {len(raw)} bytes of "
+            f"columns, expected {8 * width * rows} for {rows} rows"
+        )
     return tuple(
-        np.asarray(column, dtype=np.float64)
-        for column in payload["payload"]
+        np.frombuffer(raw, dtype="<f8", count=rows, offset=8 * rows * j)
+        .astype(np.float64)
+        for j in range(width)
     )
 
 
@@ -489,23 +579,22 @@ def explore(
                 checkpoint, resume,
                 lambda: run_key(space, mode, chunk_size, on_error),
             )
+            columns = tuple(np.empty(m) for _ in _RESULT_FIELDS)
             runner = _ChunkedRun(
-                bounds, journal, _decode_columns, _encode_columns
+                bounds, journal, _decode_columns, _encode_columns,
+                keep=partial(_store_columns, columns, bounds),
             )
             runner.replay(completed)
-            fn = partial(chunk_fn or _predict_chunk, mode=mode)
+            fn = chunk_fn or _predict_chunk
             ctx = current_context()
             if chunk_fn is None and ctx is not None:
-                # Ship the trace context with each chunk (read inside
-                # the explore.run span, so the shipped context is
-                # narrowed to that span's identity and worker-side
-                # chunks parent under it).
+                # Hand workers the trace context (read inside the
+                # explore.run span, so it is narrowed to that span's
+                # identity and worker-side chunks parent under it).
                 fn = partial(fn, trace=ctx.to_dict())
-            tasks = [eval_batch[lo:hi] for lo, hi in
-                     (bounds[i] for i in runner.todo)]
             try:
                 chunk_failures, retries, degraded = runner.run(
-                    tasks, fn,
+                    partial(_explore_chunk, eval_batch, mode, fn),
                     workers=pool_workers, policy=policy, on_error=on_error,
                 )
             except ExplorationError as exc:
@@ -513,7 +602,7 @@ def explore(
                 raise
             resumed = runner.resumed
             prediction, indices = _assemble_exploration(
-                batch, mode, n, valid_indices, runner.slots,
+                batch, mode, n, valid_indices, columns, runner.slots,
                 bounds, chunk_failures, on_error,
             )
             failed_rows = len(point_failures) + sum(
@@ -548,31 +637,22 @@ def _assemble_exploration(
     mode: BufferingMode,
     n: int,
     valid_indices: np.ndarray,
-    slots: Sequence[tuple[np.ndarray, ...] | None],
+    chunk_columns: tuple[np.ndarray, ...],
+    slots: Sequence[Any],
     bounds: Sequence[tuple[int, int]],
     chunk_failures: Sequence[ChunkFailure],
     on_error: str,
 ) -> tuple[BatchPrediction, np.ndarray | None]:
-    """Stitch chunk columns (+ failures) into the final prediction."""
+    """Turn the stored chunk columns (+ failures) into the prediction."""
     m = bounds[-1][1] if bounds else 0
     failed = {failure.index for failure in chunk_failures}
-    parts = []
-    for i, part in enumerate(slots):
-        if part is None:
+    for i, stored in enumerate(slots):
+        if stored is None:
             lo, hi = bounds[i]
-            part = tuple(
-                np.full(hi - lo, np.nan) for _ in _RESULT_FIELDS
-            )
+            for column in chunk_columns:
+                column[lo:hi] = np.nan
             assert i in failed or on_error != "fail"
-        parts.append(part)
-    columns = {
-        name: (
-            np.concatenate([part[j] for part in parts])
-            if parts
-            else np.empty(0)
-        )
-        for j, name in enumerate(_RESULT_FIELDS)
-    }
+    columns = dict(zip(_RESULT_FIELDS, chunk_columns))
     quarantined_points = len(valid_indices) != n
     if on_error == "skip":
         # Drop rows of failed chunks entirely; surviving row i maps to
@@ -645,18 +725,13 @@ def map_designs(
             )
             runner = _ChunkedRun(
                 bounds, journal,
-                decode=lambda payload: payload["payload"],
+                decode=lambda index, rows, payload: payload["payload"],
                 encode=lambda value: value,
             )
             runner.replay(completed)
-            # Seed the parent too: the serial path and pool degradation
-            # both run _map_chunk in-process.
-            _map_worker_init(space, evaluator)
-            tasks = [bounds[i] for i in runner.todo]
             chunk_failures, retries, degraded = runner.run(
-                tasks, _map_chunk,
+                partial(_map_chunk, space, evaluator),
                 workers=pool_workers, policy=policy, on_error=on_error,
-                initializer=_map_worker_init, initargs=(space, evaluator),
             )
             failed = {failure.index for failure in chunk_failures}
             results: list[Any] = []

@@ -272,7 +272,7 @@ def _run_serial(
     indices: Sequence[int],
     policy: RetryPolicy,
     on_error: str,
-    on_result: Callable[[int, Any], None] | None,
+    deliver: Callable[[int, Any], None],
     report: ChunkRunReport,
     metrics: MetricsRegistry,
     sleep: Callable[[float], None],
@@ -308,9 +308,7 @@ def _run_serial(
                     raise _fail(failure, report, exc)
                 break
             else:
-                report.results[i] = result
-                if on_result is not None:
-                    on_result(i, result)
+                deliver(i, result)
                 break
 
 
@@ -374,6 +372,7 @@ def run_chunks(
     policy: RetryPolicy | None = None,
     on_error: str = "fail",
     on_result: Callable[[int, Any], None] | None = None,
+    keep: Callable[[int, Any], Any] | None = None,
     initializer: Callable[..., None] | None = None,
     initargs: tuple = (),
     sleep: Callable[[float], None] = time.sleep,
@@ -384,12 +383,16 @@ def run_chunks(
     one) when ``workers > 1``.  ``on_result`` fires in the parent as each
     chunk completes — in *completion* order on the pool path — and is
     the hook the executor uses for checkpoint journaling and synthetic
-    chunk spans.  ``initializer``/``initargs`` seed each worker process
-    once (heavy shared state such as a pickled design space) instead of
-    re-pickling it into every task; the caller is responsible for
-    seeding the *parent* process too if serial execution or degradation
-    may run ``fn`` in-process.  See the module docstring for failure
-    semantics.
+    chunk spans.  ``keep(index, result)``, when given, runs first and
+    returns what ``report.results`` holds and ``on_result`` sees in
+    place of ``result``: a caller that copies each chunk's value into
+    its own storage lets the value go as it lands instead of holding
+    every chunk's at once.  ``initializer``/``initargs`` seed each worker process
+    once (heavy shared state such as a design space or an evaluated
+    batch) instead of pickling it into every task; the caller is
+    responsible for seeding the *parent* process too if serial execution
+    or degradation may run ``fn`` in-process.  See the module docstring
+    for failure semantics.
     """
     policy = policy or RetryPolicy()
     check_on_error(on_error)
@@ -397,9 +400,17 @@ def run_chunks(
     report = ChunkRunReport(results=[None] * len(tasks), failures=[])
     if not tasks:
         return report
+
+    def deliver(index: int, result: Any) -> None:
+        if keep is not None:
+            result = keep(index, result)
+        report.results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+
     if workers <= 1 or len(tasks) == 1:
         _run_serial(
-            tasks, fn, range(len(tasks)), policy, on_error, on_result,
+            tasks, fn, range(len(tasks)), policy, on_error, deliver,
             report, metrics, sleep,
         )
         return report
@@ -415,7 +426,7 @@ def run_chunks(
             level=logging.WARNING,
         )
         _run_serial(
-            tasks, fn, range(len(tasks)), policy, on_error, on_result,
+            tasks, fn, range(len(tasks)), policy, on_error, deliver,
             report, metrics, sleep,
         )
         return report
@@ -509,7 +520,7 @@ def run_chunks(
         pending.clear()
         pool.terminate()
         _run_serial(
-            tasks, fn, remaining, policy, on_error, on_result, report,
+            tasks, fn, remaining, policy, on_error, deliver, report,
             metrics, sleep,
         )
 
@@ -616,10 +627,8 @@ def run_chunks(
                         sleep(policy.delay(attempts[index]))
                         pending.appendleft(index)
                 else:
-                    report.results[index] = result
                     consecutive_breaks = 0
-                    if on_result is not None:
-                        on_result(index, result)
+                    deliver(index, result)
             if broken_involved:
                 handle_break(
                     broken_involved + list(inflight.values()), broken_cause

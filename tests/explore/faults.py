@@ -129,6 +129,13 @@ def faulty_chunk(chunk, mode, crash_token, hang_token):
     return _predict_chunk(chunk, mode)
 
 
+def exit_in_worker_chunk(chunk, mode):
+    """Crash in any pool worker, evaluate normally in the parent."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(13)
+    return _predict_chunk(chunk, mode)
+
+
 def kill_parent_chunk(chunk, mode):
     """os._exit the *calling* process on the marker chunk.
 

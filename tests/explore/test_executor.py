@@ -1,6 +1,10 @@
 """Executor tests: chunked explore, process pool, map_designs."""
 
 import dataclasses
+import gc
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -266,3 +270,147 @@ class TestChunkedParity:
         assert np.array_equal(
             chunked.prediction.speedup, whole.prediction.speedup
         )
+
+    def test_chunk_columns_freed_as_they_land(self, pdf1d_rat):
+        # Each chunk's columns are copied into the run's own and let go:
+        # by the time chunk k runs, chunks before k - 1 are gone (the
+        # engine's loop still names the latest result), so a run never
+        # holds every chunk's columns next to the assembled ones.
+        from repro.explore.executor import _predict_chunk
+
+        space = DesignSpace.grid(
+            pdf1d_rat, clock_hz=tuple(np.linspace(5e7, 3e8, 40))
+        )
+        refs = []
+        alive_at_call = []
+
+        def chunk_fn(chunk, mode):
+            gc.collect()
+            alive_at_call.append(sum(
+                ref() is not None for chunk_refs in refs[:-1]
+                for ref in chunk_refs
+            ))
+            elapsed, columns = _predict_chunk(chunk, mode)
+            refs.append([weakref.ref(column) for column in columns])
+            return elapsed, columns
+
+        result = explore(space, chunk_size=4, chunk_fn=chunk_fn)
+        assert alive_at_call == [0] * 10
+        whole = explore(space, chunk_size=1000)
+        for name in ("t_comm", "t_comp", "t_rc", "speedup"):
+            assert np.array_equal(
+                getattr(result.prediction, name),
+                getattr(whole.prediction, name),
+            )
+
+
+def _in_threads(run, tags):
+    """Start ``run(tag)`` for every tag at once; re-raise any failure."""
+    barrier = threading.Barrier(len(tags))
+    errors = []
+
+    def target(tag):
+        try:
+            barrier.wait()
+            run(tag)
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=target, args=(tag,)) for tag in tags]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not errors, errors
+
+
+class TestConcurrentRuns:
+    """Runs in threads (serve runs ``/v1/explore`` in a worker thread)
+    must never evaluate each other's space or evaluator, and must keep
+    nothing alive once they return."""
+
+    def test_map_designs_threads_do_not_cross(self, pdf1d_rat):
+        spaces = {
+            "a": DesignSpace.grid(
+                pdf1d_rat, clock_mhz=np.linspace(50.0, 150.0, 200)
+            ),
+            "b": DesignSpace.grid(
+                pdf1d_rat, clock_mhz=np.linspace(200.0, 300.0, 200)
+            ),
+        }
+
+        def tagged(tag):
+            def evaluate(rat):
+                time.sleep(0)  # yield so the other run interleaves
+                return tag, rat.computation.clock_hz
+
+            return evaluate
+
+        results = {}
+
+        def run(tag):
+            results[tag] = map_designs(spaces[tag], tagged(tag), chunk_size=4)
+
+        _in_threads(run, ["a", "b"])
+        for tag, space in spaces.items():
+            assert results[tag] == [
+                (tag, rat.computation.clock_hz) for rat in space.designs()
+            ]
+
+    def test_explore_threads_do_not_cross(self, pdf1d_rat):
+        spaces = {
+            "a": _space(pdf1d_rat, 400),
+            "b": DesignSpace.random(
+                pdf1d_rat, 300, seed=12, clock_mhz=(50, 300),
+                throughput_proc=(1.0, 64.0),
+            ),
+        }
+        expected = {
+            tag: explore(space, chunk_size=7) for tag, space in spaces.items()
+        }
+        results = {}
+
+        def run(tag):
+            results[tag] = explore(spaces[tag], chunk_size=7, workers=1)
+
+        _in_threads(run, ["a", "b"])
+        for tag in spaces:
+            for name in ("t_rc", "speedup", "t_comm", "t_comp"):
+                assert (
+                    getattr(results[tag].prediction, name).tobytes()
+                    == getattr(expected[tag].prediction, name).tobytes()
+                )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_designs_keeps_no_state(self, pdf1d_rat, workers):
+        space = _space(pdf1d_rat, 8)
+        ref = weakref.ref(space)
+        map_designs(space, _t_rc_single, chunk_size=3, workers=workers)
+        del space
+        gc.collect()
+        assert ref() is None
+
+    def test_explore_keeps_no_state(self, pdf1d_rat):
+        space = _space(pdf1d_rat, 8)
+        ref = weakref.ref(space)
+        result = explore(space, chunk_size=3)
+        del space, result
+        gc.collect()
+        assert ref() is None
+
+
+@pytest.mark.faults
+class TestPoolStateSurvivesRecovery:
+    def test_degraded_run_evaluates_its_own_batch(self, pdf1d_rat):
+        # Every pool worker dies, so the run respawns the pool until it
+        # degrades to serial; the parent must still hold the run's batch.
+        space = _space(pdf1d_rat, 20)
+        result = explore(
+            space, chunk_size=5, workers=2, on_error="quarantine",
+            retry=RetryPolicy(max_retries=5, backoff_s=0.0),
+            chunk_fn=faults.exit_in_worker_chunk,
+        )
+        assert result.degraded
+        assert result.chunk_failures == ()
+        clean = explore(space, chunk_size=5)
+        assert result.prediction.t_rc.tobytes() == clean.prediction.t_rc.tobytes()

@@ -148,6 +148,19 @@ class TestRunChunksSerial:
         )
         assert seen == [(0, 2), (1, 4), (2, 6)]
 
+    def test_keep_replaces_stored_result(self):
+        # keep runs before on_result; both the report and on_result see
+        # its return value, on the serial and the pool path alike.
+        for workers in (1, 2):
+            seen = []
+            report = run_chunks(
+                [1, 2, 3], faults.double, workers=workers,
+                keep=lambda i, r: ("kept", i, r),
+                on_result=lambda i, r: seen.append(r),
+            )
+            assert report.results == [("kept", 0, 2), ("kept", 1, 4), ("kept", 2, 6)]
+            assert sorted(seen) == report.results
+
     def test_transient_failure_retried_with_backoff(self):
         calls = {"n": 0}
 
